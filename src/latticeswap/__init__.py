@@ -9,6 +9,7 @@ searches, plan validation and pricing, and a benchmark harness.
 
 from .errors import (
     InvalidArrangement,
+    InvalidConfig,
     InvalidPlanStructure,
     LatticeSwapError,
     MergeStateLimit,
@@ -70,6 +71,7 @@ __all__ = [
     "CycleStatistics",
     "Instance",
     "InvalidArrangement",
+    "InvalidConfig",
     "InvalidPlanStructure",
     "Lattice",
     "LatticeSwapError",

@@ -22,7 +22,13 @@ from dataclasses import dataclass
 from hashlib import blake2b
 from typing import Iterable, Sequence
 
-from .errors import MergeStateLimit, MissingBaseline, PlanningTimeout, SizeLimitExceeded
+from .errors import (
+    LatticeSwapError,
+    MergeStateLimit,
+    MissingBaseline,
+    PlanningTimeout,
+    SizeLimitExceeded,
+)
 from .lattice import cycle_statistics, random_arrangement, CycleStatistics
 from .mcts import MctsConfig, plan_mcts
 from .multi_buffer import PipelineConfig, plan_multi_buffer_dp
@@ -53,6 +59,7 @@ RESULT_COLUMNS = (
     "wall_ms",
     "timeout",
     "valid",
+    "error",
 )
 
 
@@ -168,11 +175,21 @@ def run_case(case: BenchCase, base_seed: int) -> dict:
         "wall_ms": int(round(case.timeout_s * 1000)),
         "timeout": 1,
         "valid": 0,
+        "error": "",
     }
     begin = time.perf_counter()
     try:
         plan = dispatch(instance, case.algo, case, seed_mcts)
-    except (PlanningTimeout, SizeLimitExceeded, MergeStateLimit):
+    except (PlanningTimeout, SizeLimitExceeded, MergeStateLimit) as exc:
+        row["error"] = type(exc).__name__
+        return row
+    except LatticeSwapError as exc:
+        # Any other package error spoils this case only, not the sweep.
+        row.update(
+            wall_ms=int(round((time.perf_counter() - begin) * 1000)),
+            timeout=0,
+            error=type(exc).__name__,
+        )
         return row
     wall = time.perf_counter() - begin
     if wall > case.timeout_s:

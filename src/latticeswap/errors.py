@@ -11,6 +11,10 @@ class InvalidArrangement(LatticeSwapError):
     """Placement is not a bijection between cells and object labels."""
 
 
+class InvalidConfig(LatticeSwapError, ValueError):
+    """A planner setting is out of range or names an unknown option."""
+
+
 class InvalidPlanStructure(LatticeSwapError):
     """A plan does not have the structure an operation requires."""
 

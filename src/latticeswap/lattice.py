@@ -25,6 +25,7 @@ import math
 import random
 import statistics
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .errors import InvalidArrangement
@@ -83,11 +84,30 @@ class Lattice:
         return (coords[0] - 1) * self.dims[1] + coords[1]
 
     def distance(self, a: int, b: int) -> float:
-        """Euclidean distance between two cell centers (unit spacing)."""
-        if self.ndim == 1:
+        """Euclidean distance between two cell centers (unit spacing).
+
+        2D distances read the coordinate table shared by every lattice
+        of the same dims; cells outside the lattice raise ValueError.
+        """
+        if len(self.dims) == 1:
             return float(abs(a - b))
-        ca, cb = self.coords(a), self.coords(b)
-        return math.hypot(ca[0] - cb[0], ca[1] - cb[1])
+        rows, cols = coordinate_table(self.dims)
+        if not (0 < a < len(rows) and 0 < b < len(rows)):
+            raise ValueError(f"cells {a}, {b} not both inside lattice of size {self.m}")
+        return math.hypot(rows[a] - rows[b], cols[a] - cols[b])
+
+
+@lru_cache(maxsize=None)
+def coordinate_table(dims: tuple[int, int]) -> tuple[list[int], list[int]]:
+    """Row and column of every cell of a 2D lattice, indexed by cell.
+
+    Computed once per dims and shared by every lattice of that shape;
+    index 0 is a placeholder since cells are numbered from 1.
+    """
+    nrows, ncols = dims
+    rows = [0] + [r for r in range(1, nrows + 1) for _ in range(ncols)]
+    cols = [0] + list(range(1, ncols + 1)) * nrows
+    return rows, cols
 
 
 @dataclass(frozen=True)
@@ -185,9 +205,15 @@ class Cycle:
         return (min(self.objects), max(self.objects))
 
     def resident(self, cell: int) -> int:
-        """Object initially stored in one of the cycle's cells."""
-        i = self.objects.index(cell)
-        return self.objects[(i + 1) % self.size]
+        """Object initially stored in one of the cycle's cells.
+
+        O(L) in the cycle length; use :func:`resident_map` to look up
+        many cells.
+        """
+        try:
+            return resident_map((self,))[cell]
+        except KeyError:
+            raise ValueError(f"cell {cell} is not on cycle {self.objects}") from None
 
 
 @dataclass(frozen=True)
@@ -231,6 +257,19 @@ def decompose_cycles(arrangement: Arrangement) -> list[Cycle]:
             obj = arrangement.at(obj)
         cycles.append(Cycle(tuple(chain)))
     return cycles
+
+
+def resident_map(cycles: Iterable[Cycle]) -> dict[int, int]:
+    """Initial content of every cell of the given cycles, in O(m).
+
+    Each cell holds the next object of its cycle, so the map zips every
+    cycle with its rotation by one.
+    """
+    return {
+        cell: obj
+        for c in cycles
+        for cell, obj in zip(c.objects, c.objects[1:] + c.objects[:1])
+    }
 
 
 def nontrivial_cycles(arrangement: Arrangement) -> list[Cycle]:

@@ -30,8 +30,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .errors import PlanningTimeout
-from .lattice import EMPTY, Arrangement, nontrivial_cycles
+from .errors import InvalidConfig, PlanningTimeout
+from .lattice import EMPTY, Arrangement, nontrivial_cycles, resident_map
 from .oracle import apply_action, enumerate_actions
 from .plan import CostParams, PickNSwap, Plan, bookend
 from .search import assign_buffers
@@ -100,8 +100,10 @@ def plan_mcts(
     params: CostParams = CostParams(),
     config: MctsConfig = MctsConfig(),
 ) -> Plan:
+    if config.budget < 1:
+        raise InvalidConfig(f"budget must be at least one rollout, got {config.budget}")
     if config.rollout not in ("resolve", "uniform"):
-        raise ValueError(f"unknown rollout policy {config.rollout!r}")
+        raise InvalidConfig(f"unknown rollout policy {config.rollout!r}")
     lattice = start.lattice
     rng = random.Random(config.seed)
     cycles = nontrivial_cycles(start)
@@ -115,20 +117,13 @@ def plan_mcts(
     dist = lattice.distance
     rest = lattice.rest
     rollout_cap = config.rollout_cap_factor * lattice.m
-    cell_xy = {c: lattice.coords(c) for c in (*cells, rest)}
-
-    def fast_dist(a: int, b: int) -> float:
-        pa, pb = cell_xy[a], cell_xy[b]
-        if len(pa) == 1:
-            return abs(pa[0] - pb[0])
-        return math.hypot(pa[0] - pb[0], pa[1] - pb[1])
 
     def legal(state) -> list[PickNSwap]:
         pos, held, contents = state
         options = enumerate_actions(
             contents, held, pos, cells, k, lattice, range_prune=config.range_prune
         )
-        options.sort(key=lambda a: (fast_dist(pos, a.cell), a.cell))
+        options.sort(key=lambda a: (dist(pos, a.cell), a.cell))
         return options
 
     def step(state, action) -> tuple[tuple, float]:
@@ -157,7 +152,7 @@ def plan_mcts(
                 if picked != EMPTY:
                     hand.append(picked)
                 open_cells.remove(target)
-                cost += params.c_p + params.c_t * fast_dist(pos, target)
+                cost += params.c_p + params.c_t * dist(pos, target)
                 pos = target
             elif open_cells:
                 pickable = [c for c in open_cells if content[index[c]] != EMPTY]
@@ -165,12 +160,12 @@ def plan_mcts(
                 i = index[at]
                 hand.append(content[i])
                 content[i] = EMPTY
-                cost += params.c_p + params.c_t * fast_dist(pos, at)
+                cost += params.c_p + params.c_t * dist(pos, at)
                 pos = at
             else:
-                return cost + params.c_t * fast_dist(pos, rest)
+                return cost + params.c_t * dist(pos, rest)
         if not hand and not open_cells:
-            return cost + params.c_t * fast_dist(pos, rest)
+            return cost + params.c_t * dist(pos, rest)
         return cost + STALL_PENALTY_OPS * params.c_p
 
     def rollout_uniform(state) -> float:
@@ -231,9 +226,8 @@ def plan_mcts(
         action, _, _ = min(root.children, key=lambda entry: (entry[2].mean, entry[0].cell))
         return action
 
-    contents = tuple(
-        next(c.resident(cell) for c in cycles if cell in c.cells) for cell in cells
-    )
+    resident = resident_map(cycles)
+    contents = tuple(resident[cell] for cell in cells)
     state = (rest, (), contents)
     actions: list[PickNSwap] = []
     seen = {state[1:]}

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import MergeStateLimit
 from .lattice import Arrangement, Cycle, Lattice, group_cycles, nontrivial_cycles
-from .plan import PickNSwap, Plan, bookend
+from .plan import PickNSwap, Plan, bookend, sequence_travel
 from .search import SearchLimits
 from .single_buffer import (
     DETOUR_SLACK_2D,
@@ -122,15 +122,6 @@ def assign_cycles(cycles: Sequence[Cycle], k: int) -> list[tuple[int, ...]]:
         assign = [tuple(b) for b in best]
 
     return sorted(assign, key=sort_key)
-
-
-def sequence_travel(actions: Sequence[PickNSwap], lattice: Lattice) -> float:
-    total = 0.0
-    pos = lattice.rest
-    for a in actions:
-        total += lattice.distance(pos, a.cell)
-        pos = a.cell
-    return total + lattice.distance(pos, lattice.rest)
 
 
 def merge_task_sequences(

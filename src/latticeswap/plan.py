@@ -206,15 +206,19 @@ class CostReport:
         return json.dumps(self.to_dict(), **dump_kwargs)
 
 
-def travel_distance(plan: Plan, lattice: Lattice) -> float:
-    """Length of the tour through the plan's cells, rest to rest."""
+def sequence_travel(actions: Sequence[PickNSwap], lattice: Lattice) -> float:
+    """Length of the tour through the actions' cells, rest to rest."""
     total = 0.0
     pos = lattice.rest
-    for a in plan.actions:
+    for a in actions:
         total += lattice.distance(pos, a.cell)
         pos = a.cell
-    total += lattice.distance(pos, lattice.rest)
-    return total
+    return total + lattice.distance(pos, lattice.rest)
+
+
+def travel_distance(plan: Plan, lattice: Lattice) -> float:
+    """Length of the plan's tour; its rest bookends add nothing."""
+    return sequence_travel(plan.actions, lattice)
 
 
 def evaluate_cost(plan: Plan, lattice: Lattice, params: CostParams = CostParams()) -> CostReport:

@@ -24,7 +24,7 @@ from heapq import heappop, heappush
 from typing import Sequence
 
 from .errors import PlanningTimeout, SizeLimitExceeded
-from .lattice import EMPTY, Cycle, Lattice
+from .lattice import EMPTY, Cycle, Lattice, resident_map
 from .plan import PickNSwap
 
 
@@ -68,11 +68,8 @@ def min_swap_astar(
 
     index = {cell: i for i, cell in enumerate(cells)}
     cycle_idx = [tuple(index[cell] for cell in c.cells) for c in work]
-    orig = [EMPTY] * len(cells)
-    for c in work:
-        for cell in c.cells:
-            orig[index[cell]] = c.resident(cell)
-    orig = tuple(orig)
+    initial = resident_map(work)
+    orig = tuple(initial[cell] for cell in cells)
     goal = tuple(cells)
     rest = lattice.rest
     dist = lattice.distance

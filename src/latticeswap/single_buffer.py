@@ -18,7 +18,7 @@ either plan looks like inside.
 
 from __future__ import annotations
 
-from typing import Iterable, Literal, Sequence
+from typing import Literal, Sequence
 
 from .errors import InvalidPlanStructure, PlanningTimeout, SizeLimitExceeded
 from .lattice import (
@@ -28,6 +28,7 @@ from .lattice import (
     Lattice,
     group_cycles,
     nontrivial_cycles,
+    resident_map,
 )
 from .plan import PickNSwap, Plan, bracket
 from .search import SearchLimits, min_swap_astar
@@ -36,18 +37,14 @@ ON_SEGMENT_SLACK = 1e-9
 DETOUR_SLACK_2D = 1.0
 
 
-def resident_map(cycles: Iterable[Cycle]) -> dict[int, int]:
-    return {cell: c.resident(cell) for c in cycles for cell in c.cells}
-
-
 def cycle_following_actions(cycles: Sequence[Cycle]) -> list[PickNSwap]:
     """Resolve each cycle on its own: enter at the smallest cell, chase
     the chain until it closes, move on to the next cycle."""
     actions: list[PickNSwap] = []
+    content = resident_map(cycles)
     for cyc in cycles:
         if cyc.trivial:
             continue
-        content = {cell: cyc.resident(cell) for cell in cyc.cells}
         entry = min(cyc.cells)
         held = content[entry]
         content[entry] = EMPTY

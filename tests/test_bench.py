@@ -4,6 +4,7 @@ import csv
 
 import pytest
 
+from latticeswap import bench
 from latticeswap.bench import (
     ALGORITHMS,
     RESULT_COLUMNS,
@@ -21,7 +22,7 @@ from latticeswap.bench import (
     write_results_csv,
     write_savings_csv,
 )
-from latticeswap.errors import MissingBaseline
+from latticeswap.errors import InvalidPlanStructure, MissingBaseline
 from latticeswap.lattice import CycleStatistics
 
 
@@ -104,6 +105,27 @@ class TestRunCase:
         row = run_case(BenchCase(1, 12, 1, "exact", trial=0, timeout_s=0.25), base_seed=3)
         if row["timeout"]:
             assert row["wall_ms"] == 250
+
+    def test_valid_row_has_no_error(self):
+        row = run_case(BenchCase(1, 7, 1, "switch", trial=0), base_seed=3)
+        assert row["error"] == ""
+
+    def test_package_error_gives_one_error_row(self, monkeypatch):
+        def broken(instance, algo, case, mcts_seed):
+            if case.trial == 1:
+                raise InvalidPlanStructure("planner broke")
+            return real(instance, algo, case, mcts_seed)
+
+        real = bench.dispatch
+        monkeypatch.setattr(bench, "dispatch", broken)
+        rows = run_sweep(sweep_cases([1], [6], [1], ["switch"], trials=3), base_seed=0, workers=1)
+        assert len(rows) == 3
+        assert [r["error"] for r in rows] == ["", "InvalidPlanStructure", ""]
+        bad = rows[1]
+        assert tuple(bad) == RESULT_COLUMNS
+        assert bad["timeout"] == 0 and bad["valid"] == 0
+        assert bad["swaps"] == "" and bad["travel"] == "" and bad["total"] == ""
+        assert rows[0]["valid"] == 1 and rows[2]["valid"] == 1
 
     def test_rows_are_deterministic(self):
         # Everything except the wall-clock column repeats exactly.

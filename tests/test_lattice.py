@@ -9,17 +9,29 @@ from latticeswap.errors import InvalidArrangement
 from latticeswap.lattice import (
     Arrangement,
     Lattice,
+    coordinate_table,
     cycle_statistics,
     decompose_cycles,
     group_cycles,
     nontrivial_cycles,
     random_arrangement,
+    resident_map,
     sample_cycle_sizes,
 )
 from oracles import largest_cycle_fraction_exact, permutation_cycle_sizes
 
 permutations = st.integers(min_value=2, max_value=40).flatmap(
     lambda m: st.permutations(list(range(1, m + 1)))
+)
+
+# 1D rows and 2D boards of up to 6x6 cells, with a shuffled placement.
+boards = st.one_of(
+    st.tuples(st.integers(1, 40)),
+    st.tuples(st.integers(1, 6), st.integers(1, 6)),
+).flatmap(
+    lambda dims: st.permutations(list(range(1, math.prod(dims) + 1))).map(
+        lambda perm: Arrangement(Lattice(dims), tuple(perm))
+    )
 )
 
 
@@ -37,6 +49,30 @@ class TestLattice:
         assert lat.distance(1, 9) == pytest.approx(2 * math.sqrt(2))
         assert lat.distance(1, 2) == 1.0
         assert Lattice((10,)).distance(2, 7) == 5.0
+
+    @pytest.mark.parametrize("dims", [(3, 4), (1, 5), (5, 1)])
+    def test_distance_matches_coords_on_every_pair(self, dims):
+        lat = Lattice(dims)
+        for a in range(1, lat.m + 1):
+            for b in range(1, lat.m + 1):
+                ca, cb = lat.coords(a), lat.coords(b)
+                assert lat.distance(a, b) == math.hypot(ca[0] - cb[0], ca[1] - cb[1])
+
+    def test_2d_distance_rejects_cells_outside(self):
+        lat = Lattice((3, 4))
+        for bad in (0, lat.m + 1):
+            with pytest.raises(ValueError):
+                lat.distance(bad, 1)
+            with pytest.raises(ValueError):
+                lat.distance(1, bad)
+
+    def test_coordinate_table_shared_per_dims(self):
+        a, b = Lattice((7, 9)), Lattice((7, 9))
+        assert a is not b
+        assert a.distance(1, 63) == b.distance(1, 63)
+        assert coordinate_table(a.dims) is coordinate_table(b.dims)
+        # the table lives in the shared cache, not on the lattice
+        assert vars(a) == {"dims": (7, 9)}
 
     def test_rest_is_first_cell(self):
         assert Lattice((4, 4)).rest == 1
@@ -109,6 +145,20 @@ class TestCycles:
             for cell in c.cells:
                 rebuilt[cell - 1] = c.resident(cell)
         assert tuple(rebuilt) == arr.placement
+
+    @given(boards)
+    @settings(max_examples=120, deadline=None)
+    def test_resident_map_rebuilds_placement(self, arr):
+        cycles = decompose_cycles(arr)
+        residents = resident_map(cycles)
+        assert tuple(residents[cell] for cell in range(1, arr.m + 1)) == arr.placement
+        for c in cycles:
+            for cell in c.cells:
+                assert c.resident(cell) == residents[cell]
+
+    def test_resident_rejects_cell_off_the_cycle(self):
+        with pytest.raises(ValueError):
+            decompose_cycles(Arrangement.from_sequence([2, 1, 3]))[0].resident(3)
 
     def test_cycle_sizes_match_reference(self):
         for seed in range(20):

@@ -4,6 +4,7 @@ import statistics
 
 import pytest
 
+from latticeswap.errors import InvalidConfig
 from latticeswap.lattice import Arrangement, random_arrangement
 from latticeswap.mcts import MctsConfig, _Node, plan_mcts, ucb_choice
 from latticeswap.plan import (
@@ -119,3 +120,7 @@ class TestPlanMcts:
     def test_unknown_rollout_rejected(self):
         with pytest.raises(ValueError):
             plan_mcts(random_arrangement(5, 0), config=MctsConfig(rollout="greedy"))
+
+    def test_zero_budget_rejected(self):
+        with pytest.raises(InvalidConfig):
+            plan_mcts(random_arrangement(5, 0), config=MctsConfig(budget=0))

@@ -19,9 +19,14 @@ from latticeswap.multi_buffer import (
     assign_cycles,
     merge_task_sequences,
     plan_multi_buffer_dp,
-    sequence_travel,
 )
-from latticeswap.plan import PickNSwap, min_swap_count, simulate, travel_distance
+from latticeswap.plan import (
+    PickNSwap,
+    min_swap_count,
+    sequence_travel,
+    simulate,
+    travel_distance,
+)
 from latticeswap.single_buffer import plan_single_buffer_2d, plan_single_buffer_exact
 from oracles import exhaustive_best_min_load, exhaustive_interleave_travel
 
