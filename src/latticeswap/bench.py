@@ -172,34 +172,29 @@ def run_case(case: BenchCase, base_seed: int) -> dict:
         "swaps": "",
         "travel": "",
         "total": "",
-        "wall_ms": int(round(case.timeout_s * 1000)),
+        "wall_ms": 0,
         "timeout": 1,
         "valid": 0,
         "error": "",
     }
     begin = time.perf_counter()
+    plan = None
     try:
         plan = dispatch(instance, case.algo, case, seed_mcts)
     except (PlanningTimeout, SizeLimitExceeded, MergeStateLimit) as exc:
         row["error"] = type(exc).__name__
-        return row
     except LatticeSwapError as exc:
         # Any other package error spoils this case only, not the sweep.
-        row.update(
-            wall_ms=int(round((time.perf_counter() - begin) * 1000)),
-            timeout=0,
-            error=type(exc).__name__,
-        )
-        return row
+        row.update(timeout=0, error=type(exc).__name__)
     wall = time.perf_counter() - begin
-    if wall > case.timeout_s:
+    row["wall_ms"] = int(round(wall * 1000))
+    if plan is None or wall > case.timeout_s:
         return row
     report = evaluate_cost(plan, arr.lattice, CostParams(case.cp, case.ct))
     row.update(
         swaps=report.swaps,
         travel=f"{report.travel:.6f}",
         total=f"{report.total:.6f}",
-        wall_ms=int(round(wall * 1000)),
         timeout=0,
         valid=1 if simulate(plan, arr, case.k) else 0,
     )

@@ -9,11 +9,17 @@ keeps at most one object in hand, so any interleaving of the sequences
 is executable with k buffers; the DP only has to pick the cheapest one.
 
 The interleaving DP's state is (which buffer moved last, how far each
-sequence has progressed).  That grows as the product of the sequence
+sequence has progressed), packed into one integer code.  Stage s holds
+the states after s actions sorted by code, so states with the same
+progress vector sit side by side, and buffer b takes all of them to
+the same successor.  A stage step is therefore one grouped minimum per
+buffer over those runs (ties to the smallest previous mover) and one
+stable argsort to put the successors back in code order; nothing is
+sorted by cost.  The state count grows as the product of the sequence
 lengths, so past a configurable size the DP switches to a beam: each
-progress stage keeps only the cheapest states.  The beamed result is
-never worse than running the sequences back to back, since that
-baseline is checked explicitly.
+stage keeps only its cheapest states, ties to the smaller code.  The
+beamed result is never worse than running the sequences back to back,
+since that baseline is checked explicitly.
 """
 
 from __future__ import annotations
@@ -25,7 +31,14 @@ from typing import Sequence
 import numpy as np
 
 from .errors import MergeStateLimit
-from .lattice import Arrangement, Cycle, Lattice, group_cycles, nontrivial_cycles
+from .lattice import (
+    Arrangement,
+    Cycle,
+    Lattice,
+    coordinate_table,
+    group_cycles,
+    nontrivial_cycles,
+)
 from .plan import PickNSwap, Plan, bookend, sequence_travel
 from .search import SearchLimits
 from .single_buffer import (
@@ -140,6 +153,15 @@ def merge_task_sequences(
     within ``exact_states``; past that it keeps the ``beam_width``
     cheapest states per stage, or raises MergeStateLimit when beaming
     is disabled.
+
+    Ties are broken the same way on every path, so the result is a
+    function of the inputs alone: a state keeps its cheapest
+    predecessor, ties to the smallest previous mover; a beam keeps the
+    cheapest states, ties to the smaller code; the tour ends in the
+    cheapest final state, ties to the smaller code.  A state's code is
+    last mover + nseq * sum(progress[b] * stride[b]), with buffers
+    numbered from 0 in input order and stride[b] = prod(len[c] + 1 for
+    c < b).
     """
     active = [(i, list(seq)) for i, seq in enumerate(sequences, start=1) if len(seq)]
     if not active:
@@ -159,76 +181,74 @@ def merge_task_sequences(
 
     lengths_a = np.asarray(lengths, dtype=np.int64)
     radix = lengths_a + 1
-    stride = np.ones(nseq, dtype=np.int64)
-    for b in range(1, nseq):
-        stride[b] = stride[b - 1] * radix[b - 1]
-    max_len = int(lengths_a.max())
-    rows = np.zeros((nseq, max_len))
-    cols = np.zeros((nseq, max_len))
+    stride = np.cumprod(np.concatenate(([1], radix[:-1])))
+    cells = np.full((nseq, int(lengths_a.max())), lattice.rest, dtype=np.int64)
     for b, (_, seq) in enumerate(active):
-        for j, a in enumerate(seq):
-            xy = lattice.coords(a.cell)
-            rows[b, j] = xy[0]
-            cols[b, j] = xy[1] if len(xy) > 1 else 0.0
-    rest_xy = lattice.coords(lattice.rest)
-    rest_r = float(rest_xy[0])
-    rest_c = float(rest_xy[1]) if len(rest_xy) > 1 else 0.0
+        cells[b, : len(seq)] = [a.cell for a in seq]
+    if lattice.ndim == 1:
+        row_of, col_of = np.arange(lattice.m + 1, dtype=float), np.zeros(lattice.m + 1)
+    else:
+        row_of, col_of = (np.asarray(t, dtype=float) for t in coordinate_table(lattice.dims))
+    rows, cols = row_of[cells].ravel(), col_of[cells].ravel()
+    rest_r, rest_c = row_of[lattice.rest], col_of[lattice.rest]
 
     # Stage s holds every reachable state after s actions, encoded as
-    # last-mover + nseq * (mixed-radix progress vector).
+    # last-mover + nseq * (mixed-radix progress vector) and kept sorted
+    # by code, so the states sharing a progress vector are adjacent.
+    # ``at`` is the flat index into rows/cols of each state's robot cell.
+    buffers = np.arange(nseq)[:, None]
+    stride_c, radix_c, full = stride[:, None], radix[:, None], lengths_a[:, None]
+    row_base = buffers * cells.shape[1]
+    row_end = row_base + full - 1
     codes = np.arange(nseq, dtype=np.int64) + nseq * stride
-    costs = np.hypot(rest_r - rows[:, 0], rest_c - cols[:, 0])
-    records = [(codes.copy(), np.full(nseq, -1, dtype=np.int8))]
+    at = row_base[:, 0]
+    costs = np.hypot(rest_r - rows[at], rest_c - cols[at])
+    records = [(codes, np.full(nseq, -1, dtype=np.int8))]
 
     total_stages = int(lengths_a.sum())
     for _ in range(2, total_stages + 1):
-        last = codes % nseq
-        progress = codes // nseq
-        f_last = (progress // stride[last]) % radix[last]
-        pr = rows[last, f_last - 1]
-        pc = cols[last, f_last - 1]
-        cand_codes, cand_costs, cand_pred = [], [], []
-        for b in range(nseq):
-            f_b = (progress // stride[b]) % radix[b]
-            ok = f_b < lengths_a[b]
-            if not ok.any():
-                continue
-            f_sel = f_b[ok]
-            leg = np.hypot(pr[ok] - rows[b, f_sel], pc[ok] - cols[b, f_sel])
-            cand_codes.append(codes[ok] - last[ok] + b + nseq * stride[b])
-            cand_costs.append(costs[ok] + leg)
-            cand_pred.append(last[ok].astype(np.int8))
-        cc = np.concatenate(cand_codes)
-        cw = np.concatenate(cand_costs)
-        cp = np.concatenate(cand_pred)
-        order = np.lexsort((cw, cc))
-        cc, cw, cp = cc[order], cw[order], cp[order]
-        first = np.ones(len(cc), dtype=bool)
-        first[1:] = cc[1:] != cc[:-1]
-        codes, costs, preds = cc[first], cw[first], cp[first]
+        n = len(codes)
+        progress, last = np.divmod(codes, nseq)
+        # Buffer b takes every state of progress p to (p + e_b, b), so
+        # the states of one progress group compete for one successor
+        # per buffer: keep the cheapest, ties to the smallest mover.
+        # Rows of finished buffers are clipped here and dropped below.
+        head = np.ones(n, dtype=bool)
+        np.not_equal(progress[1:], progress[:-1], out=head[1:])
+        starts = np.flatnonzero(head)
+        digits = progress // stride_c % radix_c
+        nxt = np.minimum(row_base + digits, row_end)
+        w = costs + np.hypot(rows[at] - rows[nxt], cols[at] - cols[nxt])
+        best = np.minimum.reduceat(w, starts, axis=1)
+        tied = np.where(w == best[:, np.cumsum(head) - 1], last, nseq)
+        pred = np.minimum.reduceat(tied, starts, axis=1)
+        succ = nseq * (progress[starts] + stride_c) + buffers
+        kept = np.flatnonzero(digits[:, starts] < full)
+        kept = kept[np.argsort(succ.ravel()[kept], kind="stable")]
+        codes = succ.ravel()[kept]
+        costs = best.ravel()[kept]
+        preds = pred.ravel()[kept].astype(np.int8)
+        at = nxt[:, starts].ravel()[kept]
         if keep is not None and len(codes) > keep:
-            sel = np.lexsort((codes, costs))[:keep]
-            sel.sort()
-            codes, costs, preds = codes[sel], costs[sel], preds[sel]
+            # The keep cheapest states, ties to the smaller code.
+            thr = np.partition(costs, keep - 1)[keep - 1]
+            sel = costs < thr
+            sel[np.flatnonzero(costs == thr)[: keep - np.count_nonzero(sel)]] = True
+            codes, costs, preds, at = codes[sel], costs[sel], preds[sel], at[sel]
         records.append((codes, preds))
 
-    last = codes % nseq
-    progress = codes // nseq
-    f_last = (progress // stride[last]) % radix[last]
-    totals = costs + np.hypot(
-        rows[last, f_last - 1] - rest_r, cols[last, f_last - 1] - rest_c
-    )
-    pick = np.lexsort((codes, totals))[0]
+    totals = costs + np.hypot(rows[at] - rest_r, cols[at] - rest_c)
+    pick = int(np.argmin(totals))
     travel = float(totals[pick])
 
     moves: list[int] = []
     code = int(codes[pick])
     for stage in range(total_stages - 1, -1, -1):
         rec_codes, rec_preds = records[stage]
-        at = int(np.searchsorted(rec_codes, code))
+        i = int(np.searchsorted(rec_codes, code))
         t = code % nseq
         moves.append(t)
-        pred = int(rec_preds[at])
+        pred = int(rec_preds[i])
         if pred < 0:
             break
         code = pred + nseq * (code // nseq - stride[t])

@@ -136,6 +136,7 @@ def simulate(plan: Plan, start: Arrangement, k: int = 1) -> SimulationResult:
         return SimulationResult(False, reason, idx)
 
     lattice = start.lattice
+    m = lattice.m
     acts = plan.actions
     if len(acts) < 2:
         return fail("plan must contain at least the two rest bookends", None)
@@ -148,7 +149,7 @@ def simulate(plan: Plan, start: Arrangement, k: int = 1) -> SimulationResult:
     held: set[int] = set()
     for idx in range(1, len(acts) - 1):
         a = acts[idx]
-        if not 1 <= a.cell <= lattice.m:
+        if not 1 <= a.cell <= m:
             return fail(f"cell {a.cell} outside the lattice", idx)
         if a.is_noop:
             return fail("no-op action in the interior of the plan", idx)
@@ -180,7 +181,7 @@ def simulate(plan: Plan, start: Arrangement, k: int = 1) -> SimulationResult:
     if held:
         return fail(f"objects {sorted(held)} still in hand at the end", len(acts) - 1)
     final = tuple(contents)
-    if any(final[i] != i + 1 for i in range(lattice.m)):
+    if any(final[i] != i + 1 for i in range(m)):
         return fail("final arrangement is not the goal", len(acts) - 1)
     return SimulationResult(True, final_placement=final)
 

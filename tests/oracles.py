@@ -139,6 +139,89 @@ def exhaustive_interleave_travel(
     return best
 
 
+def reference_merge(
+    sequences: Sequence[Sequence[PickNSwap]], lattice: Lattice, keep: int | None = None
+) -> tuple[list[PickNSwap], tuple[int, ...], float]:
+    """Stage-by-stage interleaving DP over a dict of (progress, last) states.
+
+    Mirrors the contract of the package's merge, tie rules included:
+    a state keeps its cheapest predecessor, ties to the smallest
+    previous mover; with ``keep`` set, each stage keeps its ``keep``
+    cheapest states by (cost, code); the tour ends in the state of
+    least (total, code); a beamed tour is replaced by the sequences run
+    back to back when that is shorter.  The code of a state is
+    last + n * sum(progress[b] * stride[b]), stride[b] being the
+    product of (len + 1) over the earlier sequences.
+    """
+    active = [(label, list(seq)) for label, seq in enumerate(sequences, start=1) if seq]
+    rest = lattice.rest
+
+    def tour(actions: Sequence[PickNSwap]) -> float:
+        cells = [rest, *(a.cell for a in actions), rest]
+        return sum(lattice.distance(a, b) for a, b in zip(cells, cells[1:]))
+
+    if not active:
+        return [], (), 0.0
+    if len(active) == 1:
+        label, seq = active[0]
+        return seq, (label,) * len(seq), tour(seq)
+
+    n = len(active)
+    stride = [math.prod(len(s) + 1 for _, s in active[:b]) for b in range(n)]
+
+    def code(state: tuple[tuple[int, ...], int]) -> int:
+        progress, last = state
+        return last + n * sum(p * w for p, w in zip(progress, stride))
+
+    def cell(state: tuple[tuple[int, ...], int]) -> int:
+        progress, last = state
+        return active[last][1][progress[last] - 1].cell
+
+    stages: list[dict] = [{}]
+    for b in range(n):
+        progress = tuple(int(c == b) for c in range(n))
+        stages[0][(progress, b)] = (lattice.distance(rest, active[b][1][0].cell), None)
+    for _ in range(sum(len(s) for _, s in active) - 1):
+        nxt: dict = {}
+        for state in sorted(stages[-1], key=code):  # smallest mover first
+            progress, _ = state
+            cost = stages[-1][state][0]
+            for b in range(n):
+                if progress[b] == len(active[b][1]):
+                    continue
+                moved = tuple(p + (c == b) for c, p in enumerate(progress))
+                leg = lattice.distance(cell(state), active[b][1][progress[b]].cell)
+                if (moved, b) not in nxt or cost + leg < nxt[(moved, b)][0]:
+                    nxt[(moved, b)] = (cost + leg, state)
+        if keep is not None and len(nxt) > keep:
+            kept = sorted(nxt, key=lambda st: (nxt[st][0], code(st)))[:keep]
+            nxt = {st: nxt[st] for st in kept}
+        stages.append(nxt)
+
+    final = stages[-1]
+    state = min(
+        final, key=lambda st: (final[st][0] + lattice.distance(cell(st), rest), code(st))
+    )
+    travel = final[state][0] + lattice.distance(cell(state), rest)
+    order = []
+    for stage in reversed(stages):
+        order.append(state[1])
+        state = stage[state][1]
+    order.reverse()
+    merged, labels, cursor = [], [], [0] * n
+    for b in order:
+        label, seq = active[b]
+        merged.append(seq[cursor[b]])
+        labels.append(label)
+        cursor[b] += 1
+
+    if keep is not None:
+        flat = [a for _, seq in active for a in seq]
+        if tour(flat) < travel - 1e-9:
+            return flat, tuple(label for label, seq in active for _ in seq), tour(flat)
+    return merged, tuple(labels), travel
+
+
 def exhaustive_best_min_load(loads: Sequence[int], k: int) -> int:
     """Best achievable minimum bin load over all k-way partitions."""
     n = len(loads)

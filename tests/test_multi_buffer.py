@@ -1,5 +1,8 @@
 """Buffer assignment, sequence interleaving, and the k-buffer pipeline."""
 
+import math
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,7 +31,7 @@ from latticeswap.plan import (
     travel_distance,
 )
 from latticeswap.single_buffer import plan_single_buffer_2d, plan_single_buffer_exact
-from oracles import exhaustive_best_min_load, exhaustive_interleave_travel
+from oracles import exhaustive_best_min_load, exhaustive_interleave_travel, reference_merge
 
 THREE_CYCLE_BOARD = [2, 3, 1, 5, 7, 8, 4, 6]
 
@@ -124,6 +127,51 @@ class TestMergeSequences:
         assert beamed_travel >= exact_travel - 1e-9
         for label, seq in enumerate(sequences, start=1):
             assert [a for a, owner in zip(beamed, labels) if owner == label] == seq
+
+    # On a 1D lattice every leg is a whole number, so equal-cost
+    # interleavings are everywhere and only the tie rules decide.
+    row_sequences = st.integers(min_value=2, max_value=12).flatmap(
+        lambda m: st.tuples(
+            st.just(m),
+            st.lists(
+                st.lists(st.integers(min_value=1, max_value=m), max_size=6),
+                min_size=1,
+                max_size=4,
+            ),
+        )
+    )
+
+    @given(row_sequences)
+    @settings(max_examples=150, deadline=None)
+    def test_exact_merge_matches_reference(self, case):
+        m, cell_lists = case
+        lat = Lattice((m,))
+        sequences = [[visit(c) for c in cells] for cells in cell_lists]
+        merged, labels, travel = merge_task_sequences(sequences, lat)
+        assert (merged, labels, travel) == reference_merge(sequences, lat)
+
+    @given(row_sequences, st.integers(min_value=1, max_value=20))
+    @settings(max_examples=150, deadline=None)
+    def test_beamed_merge_matches_reference(self, case, width):
+        m, cell_lists = case
+        lat = Lattice((m,))
+        sequences = [[visit(c) for c in cells] for cells in cell_lists]
+        merged, labels, travel = merge_task_sequences(
+            sequences, lat, exact_states=1, beam_width=width
+        )
+        assert (merged, labels, travel) == reference_merge(sequences, lat, keep=width)
+
+    def test_beam_as_wide_as_the_states_is_exact(self):
+        rng = random.Random(7)
+        lat = Lattice((5, 6))
+        for _ in range(10):
+            sequences = [
+                [visit(rng.randint(1, lat.m)) for _ in range(rng.randint(1, 6))]
+                for _ in range(rng.randint(2, 4))
+            ]
+            states = len(sequences) * math.prod(len(s) + 1 for s in sequences)
+            wide = merge_task_sequences(sequences, lat, exact_states=1, beam_width=states)
+            assert wide == merge_task_sequences(sequences, lat)
 
     def test_state_cap_without_beam(self):
         lat = Lattice((9,))
