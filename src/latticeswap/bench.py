@@ -20,9 +20,10 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from hashlib import blake2b
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import (
+    InvalidConfig,
     LatticeSwapError,
     MergeStateLimit,
     MissingBaseline,
@@ -42,7 +43,25 @@ from .single_buffer import (
     plan_single_buffer_exact,
 )
 
-ALGORITHMS = ("follow", "switch", "exact", "2d-greedy", "dp", "mcts", "opt")
+# The planner registry: name -> planner of (arrangement, k, settings).  The
+# settings are the keywords of ``plan_instance``; each planner reads its own.
+PLANNERS: dict[str, Callable[..., Plan]] = {
+    "follow": lambda arr, k, **_: plan_cycle_following(arr),
+    "switch": lambda arr, k, **_: plan_cycle_switching(arr),
+    "exact": lambda arr, k, timeout_s, **_: plan_single_buffer_exact(
+        arr, SearchLimits(timeout_s=timeout_s)
+    ),
+    "2d-greedy": lambda arr, k, **_: plan_single_buffer_2d(arr),
+    "dp": lambda arr, k, timeout_s, **_: plan_multi_buffer_dp(
+        arr, k, PipelineConfig(search_timeout_s=timeout_s)
+    ),
+    "mcts": lambda arr, k, cp, ct, budget, seed, range_prune, **_: plan_mcts(
+        arr, k, CostParams(cp, ct), MctsConfig(budget=budget, range_prune=range_prune, seed=seed)
+    ),
+    "opt": lambda arr, k, timeout_s, **_: plan_optimal(arr, k, OracleLimits(timeout_s=timeout_s)),
+}
+
+ALGORITHMS = tuple(PLANNERS)
 
 RESULT_COLUMNS = (
     "dim",
@@ -84,7 +103,7 @@ def board_dims(dim: int, m_nominal: int) -> tuple[int, ...]:
         if side * side < m_nominal:
             side += 1
         return (side, side)
-    raise ValueError(f"dim must be 1 or 2, got {dim}")
+    raise InvalidConfig(f"dim must be 1 or 2, got {dim}")
 
 
 def build_instance(dim: int, m_nominal: int, base_seed: int, trial: int, k: int) -> Instance:
@@ -119,8 +138,8 @@ def sweep_cases(
     budget: int = 2048,
 ) -> list[BenchCase]:
     for algo in algos:
-        if algo not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm {algo!r}; choose from {ALGORITHMS}")
+        if algo not in PLANNERS:
+            raise InvalidConfig(f"unknown algorithm {algo!r}; choose from {ALGORITHMS}")
     return [
         BenchCase(dim, m, k, algo, trial, cp, ct, timeout_s, budget)
         for dim in dims
@@ -131,29 +150,32 @@ def sweep_cases(
     ]
 
 
-def dispatch(instance: Instance, algo: str, case: BenchCase, mcts_seed: int) -> Plan:
-    arr = instance.arrangement
-    k = instance.k
-    if algo == "follow":
-        return plan_cycle_following(arr)
-    if algo == "switch":
-        return plan_cycle_switching(arr)
-    if algo == "2d-greedy":
-        return plan_single_buffer_2d(arr)
-    if algo == "exact":
-        return plan_single_buffer_exact(arr, SearchLimits(timeout_s=case.timeout_s))
-    if algo == "dp":
-        return plan_multi_buffer_dp(arr, k, PipelineConfig(search_timeout_s=case.timeout_s))
-    if algo == "mcts":
-        return plan_mcts(
-            arr,
-            k,
-            CostParams(case.cp, case.ct),
-            MctsConfig(budget=case.budget, seed=mcts_seed),
-        )
-    if algo == "opt":
-        return plan_optimal(arr, k, OracleLimits(timeout_s=case.timeout_s))
-    raise ValueError(f"unknown algorithm {algo!r}")
+def plan_instance(
+    instance: Instance,
+    algo: str,
+    *,
+    cp: float = 1.0,
+    ct: float = 1.0,
+    timeout_s: float = 60.0,
+    budget: int = 2048,
+    seed: int = 0,
+    range_prune: bool = True,
+) -> Plan:
+    """Plan an instance with the registered planner ``algo``.
+
+    ``timeout_s`` bounds the searches of ``exact``, ``dp`` and ``opt``;
+    ``cp``/``ct``, ``budget``, ``seed`` and ``range_prune`` configure
+    ``mcts``.  The other planners take no settings.  Every planner
+    needs at least one buffer, including those that use just one.
+    """
+    if algo not in PLANNERS:
+        raise InvalidConfig(f"unknown algorithm {algo!r}; choose from {ALGORITHMS}")
+    if instance.k < 1:
+        raise InvalidConfig(f"need at least one buffer, got k={instance.k}")
+    return PLANNERS[algo](
+        instance.arrangement, instance.k, cp=cp, ct=ct, timeout_s=timeout_s,
+        budget=budget, seed=seed, range_prune=range_prune,
+    )
 
 
 def run_case(case: BenchCase, base_seed: int) -> dict:
@@ -180,7 +202,10 @@ def run_case(case: BenchCase, base_seed: int) -> dict:
     begin = time.perf_counter()
     plan = None
     try:
-        plan = dispatch(instance, case.algo, case, seed_mcts)
+        plan = plan_instance(
+            instance, case.algo, cp=case.cp, ct=case.ct, timeout_s=case.timeout_s,
+            budget=case.budget, seed=seed_mcts,
+        )
     except (PlanningTimeout, SizeLimitExceeded, MergeStateLimit) as exc:
         row["error"] = type(exc).__name__
     except LatticeSwapError as exc:

@@ -18,6 +18,7 @@ import sys
 from .bench import (
     ALGORITHMS,
     board_dims,
+    plan_instance,
     report_savings,
     run_stats,
     run_sweep,
@@ -28,17 +29,7 @@ from .bench import (
 )
 from .errors import LatticeSwapError
 from .lattice import random_arrangement
-from .mcts import MctsConfig, plan_mcts
-from .multi_buffer import PipelineConfig, plan_multi_buffer_dp
-from .oracle import OracleLimits, plan_optimal
 from .plan import CostParams, Instance, Plan, evaluate_cost, simulate
-from .search import SearchLimits
-from .single_buffer import (
-    plan_cycle_following,
-    plan_cycle_switching,
-    plan_single_buffer_2d,
-    plan_single_buffer_exact,
-)
 
 
 def _int_list(text: str) -> list[int]:
@@ -63,32 +54,6 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _plan_with(algo: str, instance: Instance, args: argparse.Namespace) -> Plan:
-    arr = instance.arrangement
-    k = instance.k
-    params = CostParams(args.cp, args.ct)
-    if algo == "follow":
-        return plan_cycle_following(arr)
-    if algo == "switch":
-        return plan_cycle_switching(arr)
-    if algo == "2d-greedy":
-        return plan_single_buffer_2d(arr)
-    if algo == "exact":
-        return plan_single_buffer_exact(arr, SearchLimits(timeout_s=args.timeout))
-    if algo == "dp":
-        return plan_multi_buffer_dp(arr, k, PipelineConfig(search_timeout_s=args.timeout))
-    if algo == "mcts":
-        config = MctsConfig(
-            budget=args.budget,
-            range_prune=not getattr(args, "no_range_prune", False),
-            seed=args.seed,
-        )
-        return plan_mcts(arr, k, params, config)
-    if algo == "opt":
-        return plan_optimal(arr, k, OracleLimits(timeout_s=args.timeout))
-    raise ValueError(f"unknown algorithm {algo!r}")
-
-
 def _load_instance(path: str) -> Instance:
     with open(path) as fh:
         return Instance.from_json(fh.read())
@@ -96,7 +61,10 @@ def _load_instance(path: str) -> Instance:
 
 def cmd_plan(args: argparse.Namespace) -> int:
     instance = _load_instance(args.instance)
-    plan = _plan_with(args.algo, instance, args)
+    plan = plan_instance(
+        instance, args.algo, cp=args.cp, ct=args.ct, timeout_s=args.timeout,
+        budget=args.budget, seed=args.seed, range_prune=not args.no_range_prune,
+    )
     report = evaluate_cost(plan, instance.arrangement.lattice, CostParams(args.cp, args.ct))
     if args.out:
         _write_or_print(plan.to_json(indent=2), args.out)

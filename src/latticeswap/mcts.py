@@ -8,19 +8,15 @@ leaves by rollouts, and commits the child with the lowest mean total
 cost.  Backups store the full episode cost from the decision root, and
 the tree is rebuilt from scratch after every commitment.
 
-The default rollout policy places some held object at its goal
-whenever the hand is non-empty and otherwise picks from a uniformly
-random unresolved cell.  Such a rollout always finishes within 2m + 2
-actions and its cost is a real completion estimate, which keeps the
-child means on the scale of actual plan costs.  A "uniform" policy
-(any pruned legal action, equally likely) is available for
-experimentation; it rarely reaches the goal within the step cap on
-boards beyond a dozen cells, so its values degenerate to the stall
-penalty.
+The rollout policy places some held object at its goal whenever the
+hand is non-empty and otherwise picks from a uniformly random
+unresolved cell.  Such a rollout always finishes within 2m + 2 actions
+and its cost is a real completion estimate, which keeps the child
+means on the scale of actual plan costs.
 
 Rollout costs set the scale of the exploration constant: unless one is
-given, it is fixed to twice the mean episode cost of the first rollouts
-at each decision point.
+given, it is a tenth of the mean episode cost of the first rollouts at
+each decision point.
 """
 
 from __future__ import annotations
@@ -59,7 +55,6 @@ class MctsConfig:
     exploration: float | None = None
     rollout_cap_factor: int = 4
     range_prune: bool = True
-    rollout: str = "resolve"
     seed: int = 0
 
 
@@ -100,10 +95,10 @@ def plan_mcts(
     params: CostParams = CostParams(),
     config: MctsConfig = MctsConfig(),
 ) -> Plan:
+    if k < 1:
+        raise InvalidConfig(f"need at least one buffer, got k={k}")
     if config.budget < 1:
         raise InvalidConfig(f"budget must be at least one rollout, got {config.budget}")
-    if config.rollout not in ("resolve", "uniform"):
-        raise InvalidConfig(f"unknown rollout policy {config.rollout!r}")
     lattice = start.lattice
     rng = random.Random(config.seed)
     cycles = nontrivial_cycles(start)
@@ -134,7 +129,7 @@ def plan_mcts(
     def terminal(state) -> bool:
         return state[2] == goal and not state[1]
 
-    def rollout_resolve(state) -> float:
+    def rollout(state) -> float:
         """Place-first completion: deposit a held object at its goal,
         or pick from a random unresolved cell when empty-handed."""
         pos, held, contents = state
@@ -167,18 +162,6 @@ def plan_mcts(
         if not hand and not open_cells:
             return cost + params.c_t * dist(pos, rest)
         return cost + STALL_PENALTY_OPS * params.c_p
-
-    def rollout_uniform(state) -> float:
-        cost = 0.0
-        for _ in range(rollout_cap):
-            if terminal(state):
-                return cost + params.c_t * dist(state[0], rest)
-            options = legal(state)
-            state, edge = step(state, options[rng.randrange(len(options))])
-            cost += edge
-        return cost + STALL_PENALTY_OPS * params.c_p
-
-    rollout = rollout_resolve if config.rollout == "resolve" else rollout_uniform
 
     def decide(root_state, seen: set) -> PickNSwap:
         options = legal(root_state)

@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import MergeStateLimit
+from .errors import InvalidConfig, MergeStateLimit
 from .lattice import (
     Arrangement,
     Cycle,
@@ -77,7 +77,7 @@ def assign_cycles(cycles: Sequence[Cycle], k: int) -> list[tuple[int, ...]]:
     back to largest-first into the lightest buffer.
     """
     if k < 1:
-        raise ValueError("need at least one buffer")
+        raise InvalidConfig(f"need at least one buffer, got k={k}")
     n = len(cycles)
 
     def sort_key(idxs: tuple[int, ...]) -> tuple:
@@ -310,7 +310,7 @@ def plan_multi_buffer_dp(
     stays within the k-buffer budget.
     """
     if k < 1:
-        raise ValueError("need at least one buffer")
+        raise InvalidConfig(f"need at least one buffer, got k={k}")
     lattice = start.lattice
     cycles = nontrivial_cycles(start)
     be = bookend(lattice)

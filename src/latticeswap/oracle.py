@@ -9,18 +9,21 @@ also be parked at arbitrary unresolved cells and operations need not be
 swap-minimal, trading operations against travel under arbitrary cost
 weights.  It exists to sanity-check the swap-minimal planners and is
 only practical for a handful of cells.
+
+Both searches run on the one A* loop in ``search``: ``plan_optimal``
+through ``min_swap_astar``, the unrestricted search with the state
+kernel below (``enumerate_actions`` and ``apply_action``) as its
+successor function.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from heapq import heappop, heappush
 
-from .errors import PlanningTimeout, SizeLimitExceeded
+from .errors import SizeLimitExceeded
 from .lattice import EMPTY, Arrangement, Lattice, nontrivial_cycles
 from .plan import CostParams, PickNSwap, Plan, bookend
-from .search import SearchLimits, assign_buffers, min_swap_astar
+from .search import SearchLimits, _astar, assign_buffers, min_swap_astar
 
 
 @dataclass(frozen=True)
@@ -149,7 +152,8 @@ def plan_optimal_unrestricted(
     dist = lattice.distance
     rest = lattice.rest
 
-    def heuristic(pos: int, contents: tuple[int, ...]) -> float:
+    def heuristic(state) -> float:
+        pos, _, contents = state
         far = dist(pos, rest)
         unresolved = 0
         for i, cell in enumerate(cells):
@@ -160,45 +164,18 @@ def plan_optimal_unrestricted(
                     far = cand
         return params.c_p * unresolved + params.c_t * far
 
-    start_state = (rest, (), start.placement)
-    best_g = {start_state: 0.0}
-    parent: dict[tuple, tuple] = {}
-    frontier: list = []
-    heappush(frontier, (heuristic(rest, start.placement), 0, start_state))
-    counter = 0
-    deadline = time.monotonic() + limits.timeout_s
-    popped = 0
+    def is_goal(state) -> bool:
+        return state[2] == goal and not state[1]
 
-    while frontier:
-        f, _, state = heappop(frontier)
+    def expand(state):
         pos, held, contents = state
-        g = best_g[state]
-        if f > g + heuristic(pos, contents) + 1e-9:
-            continue
-        if contents == goal and not held:
-            actions = []
-            s = state
-            while s in parent:
-                s, a = parent[s]
-                actions.append(a)
-            actions.reverse()
-            be = bookend(lattice)
-            return Plan(
-                (be, *actions, be),
-                buffer_of=(None, *assign_buffers(actions, k), None),
-            )
-        popped += 1
-        if popped % 2048 == 0 and time.monotonic() > deadline:
-            raise PlanningTimeout(f"search gave up after {limits.timeout_s:.0f}s")
         for action in enumerate_actions(contents, held, pos, cells, k, lattice):
             nc, nh = apply_action(contents, held, action, index)
-            nxt = (action.cell, nh, nc)
-            ng = g + params.c_p + params.c_t * dist(pos, action.cell)
-            old = best_g.get(nxt)
-            if old is not None and old <= ng + 1e-12:
-                continue
-            best_g[nxt] = ng
-            parent[nxt] = (state, action)
-            counter += 1
-            heappush(frontier, (ng + heuristic(action.cell, nc), counter, nxt))
-    raise RuntimeError("unrestricted search exhausted without a goal; this is a bug")
+            yield (action.cell, nh, nc), params.c_p + params.c_t * dist(pos, action.cell), action
+
+    actions = _astar((rest, (), start.placement), expand, heuristic, is_goal, limits.timeout_s)
+    be = bookend(lattice)
+    return Plan(
+        (be, *actions, be),
+        buffer_of=(None, *assign_buffers(actions, k), None),
+    )

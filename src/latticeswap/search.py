@@ -14,6 +14,10 @@ Because the swap count is fixed across this space, finding the best
 swap-minimal plan reduces to minimizing travel.  ``min_swap_astar``
 runs A* over (position, held objects, cell contents) with the
 admissible bound "farthest unresolved cell, then home".
+
+``_astar`` is the package's one A* loop: ``min_swap_astar`` and the
+oracle's unrestricted search both run on it, each supplying its own
+successor function, bound and goal test.
 """
 
 from __future__ import annotations
@@ -21,9 +25,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Sequence
+from typing import Any, Callable, Hashable, Iterable, Sequence
 
-from .errors import PlanningTimeout, SizeLimitExceeded
+from .errors import InvalidConfig, PlanningTimeout, SizeLimitExceeded
 from .lattice import EMPTY, Cycle, Lattice, resident_map
 from .plan import PickNSwap
 
@@ -41,6 +45,57 @@ class SearchLimits:
     timeout_s: float = 600.0
 
 
+DEADLINE_CHECK_EVERY = 1024  # expansions between wall-clock checks
+
+
+def _astar(
+    start: Hashable,
+    expand: Callable[[Hashable], Iterable[tuple[Hashable, float, Any]]],
+    heuristic: Callable[[Hashable], float],
+    is_goal: Callable[[Hashable], bool],
+    timeout_s: float,
+) -> list:
+    """Cheapest action path from ``start`` to a goal state.
+
+    ``expand(state)`` yields ``(next_state, step_cost, action)``.  Ties
+    in ``g + h`` go to the state pushed first; a state is re-pushed only
+    when its cost improves by more than 1e-12, and a popped entry whose
+    stored cost lies more than 1e-9 above the state's best is stale.
+    Raises PlanningTimeout once the search outlives ``timeout_s``.
+    """
+    best_g: dict = {start: 0.0}
+    parent: dict = {}
+    frontier: list = [(heuristic(start), 0, 0.0, start)]
+    counter = 0
+    expanded = 0
+    deadline = time.monotonic() + timeout_s
+    while frontier:
+        _, _, entry_g, state = heappop(frontier)
+        g = best_g[state]
+        if entry_g > g + 1e-9:
+            continue
+        if is_goal(state):
+            actions = []
+            while state in parent:
+                state, action = parent[state]
+                actions.append(action)
+            actions.reverse()
+            return actions
+        expanded += 1
+        if expanded % DEADLINE_CHECK_EVERY == 0 and time.monotonic() > deadline:
+            raise PlanningTimeout(f"search gave up after {timeout_s:.0f}s")
+        for nxt, step, action in expand(state):
+            ng = g + step
+            old = best_g.get(nxt)
+            if old is not None and old <= ng + 1e-12:
+                continue
+            best_g[nxt] = ng
+            parent[nxt] = (state, action)
+            counter += 1
+            heappush(frontier, (ng + heuristic(nxt), counter, ng, nxt))
+    raise RuntimeError("search exhausted without reaching the goal; this is a bug")
+
+
 def min_swap_astar(
     lattice: Lattice,
     cycles: Sequence[Cycle],
@@ -51,10 +106,13 @@ def min_swap_astar(
 
     Only the cells of ``cycles`` are touched; the robot starts and
     finishes at the rest cell with an empty hand.  Returns the bare
-    actions, without the rest bookends.  Raises SizeLimitExceeded when
-    the scope is larger than ``limits.size_cap`` and PlanningTimeout
-    when the search outlives ``limits.timeout_s``.
+    actions, without the rest bookends.  Raises InvalidConfig for
+    ``k < 1``, SizeLimitExceeded when the scope is larger than
+    ``limits.size_cap`` and PlanningTimeout when the search outlives
+    ``limits.timeout_s``.
     """
+    if k < 1:
+        raise InvalidConfig(f"need at least one buffer, got k={k}")
     work = [c for c in cycles if not c.trivial]
     if not work:
         return []
@@ -63,8 +121,6 @@ def min_swap_astar(
         raise SizeLimitExceeded(
             f"{len(cells)} cells in scope exceeds the exact-search cap of {limits.size_cap}"
         )
-    if k < 1:
-        raise ValueError("need at least one buffer")
 
     index = {cell: i for i, cell in enumerate(cells)}
     cycle_idx = [tuple(index[cell] for cell in c.cells) for c in work]
@@ -74,7 +130,8 @@ def min_swap_astar(
     rest = lattice.rest
     dist = lattice.distance
 
-    def heuristic(pos: int, contents: tuple[int, ...]) -> float:
+    def heuristic(state) -> float:
+        pos, _, contents = state
         best = dist(pos, rest)
         for i, cell in enumerate(cells):
             if contents[i] != cell:
@@ -83,43 +140,11 @@ def min_swap_astar(
                     best = cand
         return best
 
-    start_state = (rest, (), orig)
-    best_g: dict[tuple, float] = {start_state: 0.0}
-    parent: dict[tuple, tuple] = {}
-    frontier: list = []
-    counter = 0
-    heappush(frontier, (heuristic(rest, orig), 0, start_state))
-    deadline = time.monotonic() + limits.timeout_s
+    def is_goal(state) -> bool:
+        return state[2] == goal and not state[1]
 
-    def push(state, g, prev, action):
-        nonlocal counter
-        old = best_g.get(state)
-        if old is not None and old <= g + 1e-12:
-            return
-        best_g[state] = g
-        parent[state] = (prev, action)
-        counter += 1
-        heappush(frontier, (g + heuristic(state[0], state[2]), counter, state))
-
-    checked = 0
-    while frontier:
-        f, _, state = heappop(frontier)
+    def expand(state):
         pos, held, contents = state
-        g = best_g[state]
-        if f > g + heuristic(pos, contents) + 1e-9:
-            continue
-        if contents == goal and not held:
-            actions = []
-            s = state
-            while s in parent:
-                s, a = parent[s]
-                actions.append(a)
-            actions.reverse()
-            return actions
-        checked += 1
-        if checked % 1024 == 0 and time.monotonic() > deadline:
-            raise PlanningTimeout(f"search gave up after {limits.timeout_s:.0f}s")
-
         untouched = [
             j for j, idxs in enumerate(cycle_idx) if all(contents[i] == orig[i] for i in idxs)
         ]
@@ -128,26 +153,17 @@ def min_swap_astar(
             for i in cycle_idx[j]:
                 cell = cells[i]
                 resident = contents[i]
+                leg = dist(pos, cell)
                 if len(held) < k:
                     nc = list(contents)
                     nc[i] = EMPTY
                     nh = tuple(sorted(held + (resident,)))
-                    push(
-                        (cell, nh, tuple(nc)),
-                        g + dist(pos, cell),
-                        state,
-                        PickNSwap(cell, EMPTY, resident),
-                    )
+                    yield (cell, nh, tuple(nc)), leg, PickNSwap(cell, EMPTY, resident)
                 for h in held:
                     nc = list(contents)
                     nc[i] = h
                     nh = tuple(sorted([x for x in held if x != h] + [resident]))
-                    push(
-                        (cell, nh, tuple(nc)),
-                        g + dist(pos, cell),
-                        state,
-                        PickNSwap(cell, h, resident),
-                    )
+                    yield (cell, nh, tuple(nc)), leg, PickNSwap(cell, h, resident)
         # Drop a held object at its goal cell, taking over whatever sits there.
         for h in held:
             i = index[h]
@@ -157,13 +173,9 @@ def min_swap_astar(
             rest_held = [x for x in held if x != h]
             if resident != EMPTY:
                 rest_held.append(resident)
-            push(
-                (h, tuple(sorted(rest_held)), tuple(nc)),
-                g + dist(pos, h),
-                state,
-                PickNSwap(h, h, resident),
-            )
-    raise RuntimeError("search exhausted without reaching the goal; this is a bug")
+            yield (h, tuple(sorted(rest_held)), tuple(nc)), dist(pos, h), PickNSwap(h, h, resident)
+
+    return _astar((rest, (), orig), expand, heuristic, is_goal, limits.timeout_s)
 
 
 def assign_buffers(actions: Sequence[PickNSwap], k: int) -> tuple[int | None, ...]:

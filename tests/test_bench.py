@@ -23,7 +23,12 @@ from latticeswap.bench import (
     write_results_csv,
     write_savings_csv,
 )
-from latticeswap.errors import InvalidPlanStructure, MissingBaseline, PlanningTimeout
+from latticeswap.errors import (
+    InvalidConfig,
+    InvalidPlanStructure,
+    MissingBaseline,
+    PlanningTimeout,
+)
 from latticeswap.lattice import CycleStatistics
 
 
@@ -60,7 +65,7 @@ class TestBoards:
         assert board_dims(2, 17) == (5, 5)
 
     def test_bad_dim(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidConfig):
             board_dims(3, 9)
 
     def test_build_instance_records_actual_m(self):
@@ -109,14 +114,15 @@ class TestRunCase:
 
         # Both timeout paths, forced: a planner that raises after twice
         # its budget, and one that returns a plan that late.
-        def slow(instance, algo, case, mcts_seed):
+        def slow(instance, algo, **settings):
             time.sleep(0.2)
-            if case.trial == 0:
+            if instance.seed == first_seed:
                 raise PlanningTimeout("budget spent")
-            return real(instance, algo, case, mcts_seed)
+            return real(instance, algo, **settings)
 
-        real = bench.dispatch
-        monkeypatch.setattr(bench, "dispatch", slow)
+        first_seed = instance_seed(3, 8, 0)
+        real = bench.plan_instance
+        monkeypatch.setattr(bench, "plan_instance", slow)
         for trial, error in ((0, "PlanningTimeout"), (1, "")):
             row = run_case(BenchCase(1, 8, 1, "switch", trial=trial, timeout_s=0.1), base_seed=3)
             assert row["timeout"] == 1 and row["error"] == error
@@ -127,13 +133,14 @@ class TestRunCase:
         assert row["error"] == ""
 
     def test_package_error_gives_one_error_row(self, monkeypatch):
-        def broken(instance, algo, case, mcts_seed):
-            if case.trial == 1:
+        def broken(instance, algo, **settings):
+            if instance.seed == second_seed:
                 raise InvalidPlanStructure("planner broke")
-            return real(instance, algo, case, mcts_seed)
+            return real(instance, algo, **settings)
 
-        real = bench.dispatch
-        monkeypatch.setattr(bench, "dispatch", broken)
+        second_seed = instance_seed(0, 6, 1)
+        real = bench.plan_instance
+        monkeypatch.setattr(bench, "plan_instance", broken)
         rows = run_sweep(sweep_cases([1], [6], [1], ["switch"], trials=3), base_seed=0, workers=1)
         assert len(rows) == 3
         assert [r["error"] for r in rows] == ["", "InvalidPlanStructure", ""]
@@ -142,6 +149,14 @@ class TestRunCase:
         assert bad["timeout"] == 0 and bad["valid"] == 0
         assert bad["swaps"] == "" and bad["travel"] == "" and bad["total"] == ""
         assert rows[0]["valid"] == 1 and rows[2]["valid"] == 1
+
+    def test_zero_buffers_give_error_rows(self):
+        cases = sweep_cases([1], [6], [0], ALGORITHMS, trials=1, budget=16)
+        rows = run_sweep(cases, base_seed=0, workers=1)
+        assert [r["algo"] for r in rows] == list(ALGORITHMS)
+        for row in rows:
+            assert row["error"] == "InvalidConfig"
+            assert row["timeout"] == 0 and row["valid"] == 0
 
     def test_rows_are_deterministic(self):
         # Everything except the wall-clock column repeats exactly.

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from latticeswap.bench import RESULT_COLUMNS, SAVINGS_COLUMNS
+from latticeswap.bench import ALGORITHMS, RESULT_COLUMNS, SAVINGS_COLUMNS
 from latticeswap.cli import main
 from latticeswap.lattice import CycleStatistics
 
@@ -62,7 +62,7 @@ class TestPlanEvalRoundTrip:
         assert set(report) == {"valid", "swaps", "travel", "total"}
         assert report["total"] == pytest.approx(report["swaps"] + report["travel"])
 
-    @pytest.mark.parametrize("algo", ["follow", "switch", "exact", "mcts", "opt"])
+    @pytest.mark.parametrize("algo", ALGORITHMS)
     def test_every_algorithm_round_trips(self, algo, instance_path, tmp_path, capsys):
         plan_path = tmp_path / f"{algo}.json"
         assert run(

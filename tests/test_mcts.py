@@ -105,21 +105,15 @@ class TestPlanMcts:
         cfg = MctsConfig(budget=64, seed=9)
         assert plan_mcts(arr, config=cfg).actions == plan_mcts(arr, config=cfg).actions
 
-    def test_uniform_rollout_still_valid(self):
-        arr = random_arrangement(6, 2)
-        cfg = MctsConfig(budget=256, seed=7, rollout="uniform")
-        plan = plan_mcts(arr, k=1, config=cfg)
-        assert simulate(plan, arr).valid
-
     def test_range_prune_off_still_valid(self):
         arr = random_arrangement(8, 6)
         cfg = MctsConfig(budget=128, seed=2, range_prune=False)
         plan = plan_mcts(arr, k=2, config=cfg)
         assert simulate(plan, arr, k=2).valid
 
-    def test_unknown_rollout_rejected(self):
-        with pytest.raises(ValueError):
-            plan_mcts(random_arrangement(5, 0), config=MctsConfig(rollout="greedy"))
+    def test_zero_buffers_rejected(self):
+        with pytest.raises(InvalidConfig):
+            plan_mcts(random_arrangement(5, 0), k=0)
 
     def test_zero_budget_rejected(self):
         with pytest.raises(InvalidConfig):

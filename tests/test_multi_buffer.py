@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latticeswap.errors import MergeStateLimit
+from latticeswap.errors import InvalidConfig, MergeStateLimit
 from latticeswap.lattice import (
     EMPTY,
     Arrangement,
@@ -78,7 +78,7 @@ class TestAssignCycles:
         assert min_load(assignment, cycles) == exhaustive_best_min_load(loads, k)
 
     def test_rejects_zero_buffers(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidConfig):
             assign_cycles([Cycle((1, 2))], 0)
 
 
@@ -255,5 +255,5 @@ class TestPipeline:
         assert not plan_multi_buffer_dp(arr, k=2).fallback
 
     def test_rejects_zero_buffers(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidConfig):
             plan_multi_buffer_dp(random_arrangement(5, 0), k=0)

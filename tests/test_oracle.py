@@ -2,7 +2,7 @@
 
 import pytest
 
-from latticeswap.errors import SizeLimitExceeded
+from latticeswap.errors import PlanningTimeout, SizeLimitExceeded
 from latticeswap.lattice import EMPTY, Arrangement, Lattice, nontrivial_cycles, random_arrangement
 from latticeswap.oracle import (
     OracleLimits,
@@ -94,6 +94,11 @@ class TestPlanOptimalUnrestricted:
             free = evaluate_cost(plan_optimal_unrestricted(arr, 1, params), arr.lattice, params)
             fixed = evaluate_cost(plan_optimal(arr, 1), arr.lattice, params)
             assert free.total <= fixed.total + 1e-9
+
+    def test_timeout(self):
+        arr = Arrangement.from_sequence([2, 1, 4, 3, 6, 5, 8, 7])
+        with pytest.raises(PlanningTimeout):
+            plan_optimal_unrestricted(arr, k=2, limits=OracleLimits(timeout_s=0.0))
 
     def test_caps(self):
         with pytest.raises(SizeLimitExceeded):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from latticeswap.errors import PlanningTimeout, SizeLimitExceeded
+from latticeswap.errors import InvalidConfig, PlanningTimeout, SizeLimitExceeded
 from latticeswap.lattice import EMPTY, Arrangement, nontrivial_cycles, random_arrangement
 from latticeswap.plan import PickNSwap, bracket, min_swap_count, simulate, travel_distance
 from latticeswap.search import SearchLimits, assign_buffers, min_swap_astar
@@ -78,8 +78,10 @@ class TestMinSwapAstar:
 
     def test_rejects_zero_buffers(self):
         arr = Arrangement.from_sequence([2, 1])
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidConfig):
             min_swap_astar(arr.lattice, nontrivial_cycles(arr), k=0)
+        with pytest.raises(InvalidConfig):
+            min_swap_astar(arr.lattice, [], k=0)
 
 
 class TestAssignBuffers:

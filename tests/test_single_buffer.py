@@ -14,9 +14,17 @@ from latticeswap.lattice import (
     nontrivial_cycles,
     random_arrangement,
 )
-from latticeswap.plan import PickNSwap, bracket, min_swap_count, simulate, travel_distance
-from latticeswap.search import SearchLimits
+from latticeswap.plan import (
+    PickNSwap,
+    bracket,
+    min_swap_count,
+    sequence_travel,
+    simulate,
+    travel_distance,
+)
+from latticeswap.search import SearchLimits, min_swap_astar
 from latticeswap.single_buffer import (
+    compose_group_actions,
     cycle_group_switching,
     greedy_switch_actions,
     plan_cycle_following,
@@ -112,6 +120,24 @@ class TestProperties:
             t_switch = travel_distance(plan_cycle_switching(arr), arr.lattice)
             t_exact = travel_distance(plan_single_buffer_exact(arr), arr.lattice)
             assert t_switch == pytest.approx(t_exact)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_spliced_switching_matches_astar_on_cycle_subsets(self, data):
+        """The spliced greedy tour of any set of cycles of a short row,
+        all of them or a share of them, travels as little as the exact
+        swap-minimal search over the same cycles."""
+        m = data.draw(st.integers(min_value=2, max_value=10))
+        perm = data.draw(st.permutations(list(range(1, m + 1))))
+        arr = Arrangement.from_sequence(list(perm))
+        lattice = arr.lattice
+        cycles = nontrivial_cycles(arr)
+        keep = data.draw(st.lists(st.booleans(), min_size=len(cycles), max_size=len(cycles)))
+        share = [c for c, kept in zip(cycles, keep) if kept]
+        runs = group_cycles(share, lattice)
+        greedy = compose_group_actions([greedy_switch_actions(r.cycles, lattice) for r in runs])
+        exact = min_swap_astar(lattice, share, 1)
+        assert abs(sequence_travel(greedy, lattice) - sequence_travel(exact, lattice)) <= 1e-9
 
     def test_deterministic(self):
         arr = random_arrangement(30, 7)
