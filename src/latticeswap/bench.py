@@ -96,6 +96,8 @@ def rollout_seed(base: int, m: int, trial: int, k: int, algo: str) -> int:
 
 
 def board_dims(dim: int, m_nominal: int) -> tuple[int, ...]:
+    if m_nominal < 1:
+        raise InvalidConfig(f"board size must be at least 1 cell, got m={m_nominal}")
     if dim == 1:
         return (m_nominal,)
     if dim == 2:
@@ -179,18 +181,17 @@ def plan_instance(
 
 
 def run_case(case: BenchCase, base_seed: int) -> dict:
-    instance = build_instance(case.dim, case.m, base_seed, case.trial, case.k)
-    arr = instance.arrangement
-    seed_mcts = rollout_seed(base_seed, case.m, case.trial, case.k, case.algo)
+    """One sweep row.  A package error, bad sizes included, spoils this
+    row only: it is recorded in ``error`` and the sweep goes on."""
     row = {
         "dim": case.dim,
-        "m": arr.m,
+        "m": case.m,
         "k": case.k,
         "algo": case.algo,
         "cp": case.cp,
         "ct": case.ct,
         "trial": case.trial,
-        "seed": instance.seed,
+        "seed": instance_seed(base_seed, case.m, case.trial),
         "swaps": "",
         "travel": "",
         "total": "",
@@ -199,6 +200,14 @@ def run_case(case: BenchCase, base_seed: int) -> dict:
         "valid": 0,
         "error": "",
     }
+    try:
+        instance = build_instance(case.dim, case.m, base_seed, case.trial, case.k)
+    except LatticeSwapError as exc:
+        row.update(timeout=0, error=type(exc).__name__)
+        return row
+    arr = instance.arrangement
+    row["m"] = arr.m
+    seed_mcts = rollout_seed(base_seed, case.m, case.trial, case.k, case.algo)
     begin = time.perf_counter()
     plan = None
     try:

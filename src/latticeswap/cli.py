@@ -27,7 +27,7 @@ from .bench import (
     write_savings_csv,
     write_stats_csv,
 )
-from .errors import LatticeSwapError
+from .errors import InvalidConfig, LatticeSwapError
 from .lattice import random_arrangement
 from .plan import CostParams, Instance, Plan, evaluate_cost, simulate
 
@@ -45,6 +45,8 @@ def _write_or_print(text: str, path: str | None) -> None:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    if args.k < 1:
+        raise InvalidConfig(f"need at least one buffer, got k={args.k}")
     dims = board_dims(args.dim, args.m)
     arr = random_arrangement(
         dims[0] * (dims[1] if len(dims) > 1 else 1), args.seed, dims

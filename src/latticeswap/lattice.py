@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .errors import InvalidArrangement
+from .errors import InvalidArrangement, InvalidConfig
 
 EMPTY = 0
 
@@ -43,9 +43,9 @@ class Lattice:
 
     def __post_init__(self) -> None:
         if not 1 <= len(self.dims) <= 2:
-            raise ValueError(f"only 1D and 2D lattices are supported, got dims={self.dims}")
+            raise InvalidConfig(f"only 1D and 2D lattices are supported, got dims={self.dims}")
         if any(d < 1 for d in self.dims):
-            raise ValueError(f"lattice dimensions must be positive, got dims={self.dims}")
+            raise InvalidConfig(f"lattice dimensions must be positive, got dims={self.dims}")
 
     @property
     def m(self) -> int:
@@ -167,10 +167,10 @@ class Arrangement:
 def random_arrangement(m: int, seed: int, dims: Sequence[int] | None = None) -> Arrangement:
     """Uniformly random arrangement of m objects, reproducible per seed."""
     if m < 1:
-        raise ValueError("m must be at least 1")
+        raise InvalidConfig(f"m must be at least 1, got m={m}")
     lattice = Lattice(tuple(dims) if dims is not None else (m,))
     if lattice.m != m:
-        raise ValueError(f"dims {lattice.dims} hold {lattice.m} cells, expected {m}")
+        raise InvalidConfig(f"dims {lattice.dims} hold {lattice.m} cells, expected {m}")
     labels = list(range(1, m + 1))
     random.Random(seed).shuffle(labels)
     return Arrangement(lattice, tuple(labels))
@@ -369,7 +369,7 @@ def cycle_statistics(m: int, samples: int, seed: int) -> CycleStatistics:
     harmonic number minus 1.
     """
     if m < 1 or samples < 1:
-        raise ValueError("m and samples must be positive")
+        raise InvalidConfig(f"m and samples must be positive, got m={m}, samples={samples}")
     rng = random.Random(seed)
     f1s, f2s, f3s = [], [], []
     top3_total = 0.0

@@ -17,6 +17,10 @@ means on the scale of actual plan costs.
 Rollout costs set the scale of the exploration constant: unless one is
 given, it is a tenth of the mean episode cost of the first rollouts at
 each decision point.
+
+Every leg the search prices, in action ordering, steps, rollouts and the
+final trip home, is read from the leg table of ``search.leg_table``,
+computed once per plan.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from .errors import InvalidConfig, PlanningTimeout
 from .lattice import EMPTY, Arrangement, nontrivial_cycles, resident_map
 from .oracle import apply_action, enumerate_actions
 from .plan import CostParams, PickNSwap, Plan, bookend
-from .search import assign_buffers
+from .search import assign_buffers, leg_table
 
 STALL_PENALTY_OPS = 1_000_000
 CALIBRATION_ROLLOUTS = 32
@@ -109,8 +113,11 @@ def plan_mcts(
     cells = tuple(sorted(cell for c in cycles for cell in c.cells))
     index = {cell: i for i, cell in enumerate(cells)}
     goal = cells
-    dist = lattice.distance
     rest = lattice.rest
+    # leg[a][b] is the distance between cells a and b, the rest cell included;
+    # when the rest cell is also in scope, both of its rows hold the same legs.
+    points = (*cells, rest)
+    leg = {a: dict(zip(points, row)) for a, row in zip(points, leg_table(lattice, cells)[0])}
     rollout_cap = config.rollout_cap_factor * lattice.m
 
     def legal(state) -> list[PickNSwap]:
@@ -118,13 +125,14 @@ def plan_mcts(
         options = enumerate_actions(
             contents, held, pos, cells, k, lattice, range_prune=config.range_prune
         )
-        options.sort(key=lambda a: (dist(pos, a.cell), a.cell))
+        row = leg[pos]
+        options.sort(key=lambda a: (row[a.cell], a.cell))
         return options
 
     def step(state, action) -> tuple[tuple, float]:
         pos, held, contents = state
         nc, nh = apply_action(contents, held, action, index)
-        return (action.cell, nh, nc), params.c_p + params.c_t * dist(pos, action.cell)
+        return (action.cell, nh, nc), params.c_p + params.c_t * leg[pos][action.cell]
 
     def terminal(state) -> bool:
         return state[2] == goal and not state[1]
@@ -147,7 +155,7 @@ def plan_mcts(
                 if picked != EMPTY:
                     hand.append(picked)
                 open_cells.remove(target)
-                cost += params.c_p + params.c_t * dist(pos, target)
+                cost += params.c_p + params.c_t * leg[pos][target]
                 pos = target
             elif open_cells:
                 pickable = [c for c in open_cells if content[index[c]] != EMPTY]
@@ -155,12 +163,12 @@ def plan_mcts(
                 i = index[at]
                 hand.append(content[i])
                 content[i] = EMPTY
-                cost += params.c_p + params.c_t * dist(pos, at)
+                cost += params.c_p + params.c_t * leg[pos][at]
                 pos = at
             else:
-                return cost + params.c_t * dist(pos, rest)
+                return cost + params.c_t * leg[pos][rest]
         if not hand and not open_cells:
-            return cost + params.c_t * dist(pos, rest)
+            return cost + params.c_t * leg[pos][rest]
         return cost + STALL_PENALTY_OPS * params.c_p
 
     def decide(root_state, seen: set) -> PickNSwap:
@@ -198,7 +206,7 @@ def plan_mcts(
                 spent += edge
                 node = child
             tail = (
-                params.c_t * dist(node.state[0], rest) if terminal(node.state) else rollout(node.state)
+                params.c_t * leg[node.state[0]][rest] if terminal(node.state) else rollout(node.state)
             )
             total = spent + tail
             if len(calibration) < CALIBRATION_ROLLOUTS:

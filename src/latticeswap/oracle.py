@@ -13,17 +13,21 @@ only practical for a handful of cells.
 Both searches run on the one A* loop in ``search``: ``plan_optimal``
 through ``min_swap_astar``, the unrestricted search with the state
 kernel below (``enumerate_actions`` and ``apply_action``) as its
-successor function.
+successor function.  The unrestricted search also shares the swap-minimal
+search's leg table and farthest-first lists (``search.leg_table``): its
+step costs read the table, and its bound ``c_p * unresolved + c_t * far``
+takes ``far`` from the first unresolved cell on the position's list.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import ne
 
 from .errors import SizeLimitExceeded
 from .lattice import EMPTY, Arrangement, Lattice, nontrivial_cycles
 from .plan import CostParams, PickNSwap, Plan, bookend
-from .search import SearchLimits, _astar, assign_buffers, min_swap_astar
+from .search import SearchLimits, _astar, assign_buffers, leg_table, min_swap_astar
 
 
 @dataclass(frozen=True)
@@ -149,29 +153,29 @@ def plan_optimal_unrestricted(
     cells = tuple(range(1, lattice.m + 1))
     index = {cell: i for i, cell in enumerate(cells)}
     goal = cells
-    dist = lattice.distance
     rest = lattice.rest
+    legs, far = leg_table(lattice, cells)
+    home = len(cells)
 
     def heuristic(state) -> float:
         pos, _, contents = state
-        far = dist(pos, rest)
-        unresolved = 0
-        for i, cell in enumerate(cells):
-            if contents[i] != cell:
-                unresolved += 1
-                cand = dist(pos, cell) + dist(cell, rest)
-                if cand > far:
-                    far = cand
-        return params.c_p * unresolved + params.c_t * far
+        p = index[pos]
+        reach = legs[p][home]
+        for i, bound in far[p]:
+            if contents[i] != cells[i]:
+                reach = max(bound, reach)
+                break
+        return params.c_p * sum(map(ne, contents, cells)) + params.c_t * reach
 
     def is_goal(state) -> bool:
         return state[2] == goal and not state[1]
 
     def expand(state):
         pos, held, contents = state
+        row = legs[index[pos]]
         for action in enumerate_actions(contents, held, pos, cells, k, lattice):
             nc, nh = apply_action(contents, held, action, index)
-            yield (action.cell, nh, nc), params.c_p + params.c_t * dist(pos, action.cell), action
+            yield (action.cell, nh, nc), params.c_p + params.c_t * row[index[action.cell]], action
 
     actions = _astar((rest, (), start.placement), expand, heuristic, is_goal, limits.timeout_s)
     be = bookend(lattice)

@@ -15,9 +15,27 @@ swap-minimal plan reduces to minimizing travel.  ``min_swap_astar``
 runs A* over (position, held objects, cell contents) with the
 admissible bound "farthest unresolved cell, then home".
 
+The search works on scope positions, not cell labels: the n cells in
+scope are numbered ``0..n-1`` in label order and the rest cell is
+``n``; objects are numbered by their goal cell's position.  Three
+things keep a push cheap:
+
+- ``leg_table`` computes every leg between two positions once per
+  search, ``(n+1)**2`` distance calls in all, and every step cost and
+  bound reads it.
+- The bound reads a list per position, worked out once with the table:
+  every cell with its leg from that position plus its leg home,
+  farthest first.  The first unresolved cell on the list gives the
+  farthest value, and the bound is the larger of it and the leg home.
+- A state also carries a bitmask of the cycles already touched.  A
+  touched cycle never shows its original residents again, so the mask
+  is a function of the contents and the states are the same as without
+  it; it just replaces a scan of every cycle's cells per expansion.
+
 ``_astar`` is the package's one A* loop: ``min_swap_astar`` and the
 oracle's unrestricted search both run on it, each supplying its own
-successor function, bound and goal test.
+successor function, bound and goal test, and both take their legs and
+bound lists from ``leg_table``.
 """
 
 from __future__ import annotations
@@ -96,6 +114,29 @@ def _astar(
     raise RuntimeError("search exhausted without reaching the goal; this is a bug")
 
 
+def leg_table(
+    lattice: Lattice, cells: Sequence[int]
+) -> tuple[list[list[float]], list[list[tuple[int, float]]]]:
+    """Legs between scope positions and the farthest-first bound lists.
+
+    Position ``p < n`` is ``cells[p]`` and position ``n`` is the rest
+    cell.  ``legs[p][q]`` is ``lattice.distance`` from position ``p`` to
+    position ``q``; ``far[p]`` lists ``(i, legs[p][i] + legs[i][n])``
+    for every cell position ``i``, largest value first, so a bound
+    "farthest unresolved cell, then home" stops at the first unresolved
+    entry.
+    """
+    points = (*cells, lattice.rest)
+    dist = lattice.distance
+    legs = [[dist(a, b) for b in points] for a in points]
+    n = len(cells)
+    far = [
+        sorted(((i, row[i] + legs[i][n]) for i in range(n)), key=lambda e: e[1], reverse=True)
+        for row in legs
+    ]
+    return legs, far
+
+
 def min_swap_astar(
     lattice: Lattice,
     cycles: Sequence[Cycle],
@@ -122,60 +163,62 @@ def min_swap_astar(
             f"{len(cells)} cells in scope exceeds the exact-search cap of {limits.size_cap}"
         )
 
+    # Positions, objects and cell contents are all scope positions; an
+    # empty cell holds ``n``, which ``label`` maps back to EMPTY.
+    n = len(cells)
     index = {cell: i for i, cell in enumerate(cells)}
+    label = (*cells, EMPTY)
     cycle_idx = [tuple(index[cell] for cell in c.cells) for c in work]
     initial = resident_map(work)
-    orig = tuple(initial[cell] for cell in cells)
-    goal = tuple(cells)
-    rest = lattice.rest
-    dist = lattice.distance
+    orig = tuple(index[initial[cell]] for cell in cells)
+    goal = tuple(range(n))
+    legs, far = leg_table(lattice, cells)
 
     def heuristic(state) -> float:
-        pos, _, contents = state
-        best = dist(pos, rest)
-        for i, cell in enumerate(cells):
-            if contents[i] != cell:
-                cand = dist(pos, cell) + dist(cell, rest)
-                if cand > best:
-                    best = cand
-        return best
+        p, _, contents, _ = state
+        home = legs[p][n]
+        for i, bound in far[p]:
+            if contents[i] != i:
+                return bound if bound > home else home
+        return home
 
     def is_goal(state) -> bool:
         return state[2] == goal and not state[1]
 
     def expand(state):
-        pos, held, contents = state
-        untouched = [
-            j for j, idxs in enumerate(cycle_idx) if all(contents[i] == orig[i] for i in idxs)
-        ]
+        p, held, contents, touched = state
+        row = legs[p]
+        room = len(held) < k
         # Start or park into a cycle nobody has touched yet.
-        for j in untouched:
-            for i in cycle_idx[j]:
-                cell = cells[i]
+        for j, idxs in enumerate(cycle_idx):
+            if touched >> j & 1:
+                continue
+            mask = touched | 1 << j
+            for i in idxs:
                 resident = contents[i]
-                leg = dist(pos, cell)
-                if len(held) < k:
+                leg = row[i]
+                if room:
                     nc = list(contents)
-                    nc[i] = EMPTY
+                    nc[i] = n
                     nh = tuple(sorted(held + (resident,)))
-                    yield (cell, nh, tuple(nc)), leg, PickNSwap(cell, EMPTY, resident)
+                    yield (i, nh, tuple(nc), mask), leg, (i, n, resident)
                 for h in held:
                     nc = list(contents)
                     nc[i] = h
                     nh = tuple(sorted([x for x in held if x != h] + [resident]))
-                    yield (cell, nh, tuple(nc)), leg, PickNSwap(cell, h, resident)
+                    yield (i, nh, tuple(nc), mask), leg, (i, h, resident)
         # Drop a held object at its goal cell, taking over whatever sits there.
         for h in held:
-            i = index[h]
-            resident = contents[i]
+            resident = contents[h]
             nc = list(contents)
-            nc[i] = h
+            nc[h] = h
             rest_held = [x for x in held if x != h]
-            if resident != EMPTY:
+            if resident != n:
                 rest_held.append(resident)
-            yield (h, tuple(sorted(rest_held)), tuple(nc)), dist(pos, h), PickNSwap(h, h, resident)
+            yield (h, tuple(sorted(rest_held)), tuple(nc), touched), row[h], (h, h, resident)
 
-    return _astar((rest, (), orig), expand, heuristic, is_goal, limits.timeout_s)
+    path = _astar((n, (), orig, 0), expand, heuristic, is_goal, limits.timeout_s)
+    return [PickNSwap(cells[i], label[deposit], label[pick]) for i, deposit, pick in path]
 
 
 def assign_buffers(actions: Sequence[PickNSwap], k: int) -> tuple[int | None, ...]:

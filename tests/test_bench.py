@@ -158,6 +158,24 @@ class TestRunCase:
             assert row["error"] == "InvalidConfig"
             assert row["timeout"] == 0 and row["valid"] == 0
 
+    def test_empty_board_gives_error_rows_and_sweep_goes_on(self):
+        cases = sweep_cases([1, 2], [0, 5], [1], ["switch"], trials=2)
+        rows = run_sweep(cases, base_seed=0, workers=1)
+        assert [(r["dim"], r["m"], r["error"]) for r in rows] == [
+            (1, 0, "InvalidConfig"),
+            (1, 0, "InvalidConfig"),
+            (1, 5, ""),
+            (1, 5, ""),
+            (2, 0, "InvalidConfig"),
+            (2, 0, "InvalidConfig"),
+            (2, 9, ""),
+            (2, 9, ""),
+        ]
+        for row in rows:
+            assert tuple(row) == RESULT_COLUMNS
+            assert row["timeout"] == 0
+            assert row["valid"] == (0 if row["error"] else 1)
+
     def test_rows_are_deterministic(self):
         # Everything except the wall-clock column repeats exactly.
         case = BenchCase(1, 8, 2, "mcts", trial=1, budget=64)

@@ -36,6 +36,14 @@ class TestGen:
         data = json.loads(capsys.readouterr().out)
         assert data["dims"] == [5]
 
+    @pytest.mark.parametrize("flag", ["--k", "--m"])
+    def test_bad_size_exits_two_without_output(self, flag, tmp_path, capsys):
+        path = tmp_path / "inst.json"
+        argv = {"--k": ("--m", "5", "--k", "0"), "--m": ("--m", "0")}[flag]
+        assert run("gen", *argv, "-o", str(path)) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not path.exists()
+
 
 @pytest.fixture
 def instance_path(tmp_path):

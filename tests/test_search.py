@@ -1,9 +1,18 @@
 """Exact swap-minimal search plus the buffer slot labeling helper."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latticeswap.errors import InvalidConfig, PlanningTimeout, SizeLimitExceeded
-from latticeswap.lattice import EMPTY, Arrangement, nontrivial_cycles, random_arrangement
+from latticeswap.lattice import (
+    EMPTY,
+    Arrangement,
+    Lattice,
+    nontrivial_cycles,
+    random_arrangement,
+    resident_map,
+)
 from latticeswap.plan import PickNSwap, bracket, min_swap_count, simulate, travel_distance
 from latticeswap.search import SearchLimits, assign_buffers, min_swap_astar
 from oracles import brute_min_travel
@@ -51,6 +60,49 @@ class TestMinSwapAstar:
             plan = solve(arr)
             assert simulate(plan, arr).valid
             assert travel_distance(plan, arr.lattice) == pytest.approx(brute_min_travel(arr))
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_travel_matches_brute_force_on_cycle_subsets(self, data):
+        """On short rows and 2x3 boards, at k = 1..3, the search over all
+        of a board's cycles or a share of them travels exactly as little
+        as a brute-force search over raw states of the board on which
+        only those cycles are displaced."""
+        dims = data.draw(st.sampled_from([(2,), (3,), (4,), (5,), (6,), (2, 3)]))
+        k = data.draw(st.integers(min_value=1, max_value=3))
+        lattice = Lattice(dims)
+        perm = data.draw(st.permutations(list(range(1, lattice.m + 1))))
+        cycles = nontrivial_cycles(Arrangement(lattice, tuple(perm)))
+        if data.draw(st.booleans()):
+            scope = cycles
+        else:
+            keep = data.draw(st.lists(st.booleans(), min_size=len(cycles), max_size=len(cycles)))
+            scope = [c for c, kept in zip(cycles, keep) if kept]
+        placement = list(range(1, lattice.m + 1))
+        for cell, obj in resident_map(scope).items():
+            placement[cell - 1] = obj
+        arr = Arrangement(lattice, tuple(placement))
+        plan = bracket(min_swap_astar(lattice, scope, k=k), lattice)
+        assert simulate(plan, arr, k=k).valid
+        assert abs(travel_distance(plan, lattice) - brute_min_travel(arr, k=k)) <= 1e-9
+
+    def test_distance_calls_bounded_by_leg_table(self, monkeypatch):
+        """One search computes each leg between two of its n scope cells
+        and the rest cell once: at most (n+1)**2 distance calls."""
+        arr = Arrangement.from_sequence([2, 3, 1, 5, 4, 7, 8, 9, 6])
+        calls = 0
+        original = Lattice.distance
+
+        def counted(self, a, b):
+            nonlocal calls
+            calls += 1
+            return original(self, a, b)
+
+        monkeypatch.setattr(Lattice, "distance", counted)
+        actions = min_swap_astar(arr.lattice, nontrivial_cycles(arr), k=2)
+        monkeypatch.undo()
+        assert simulate(bracket(actions, arr.lattice), arr, k=2).valid
+        assert 0 < calls <= (9 + 1) ** 2
 
     def test_second_buffer_never_hurts(self):
         for seed in range(10):
