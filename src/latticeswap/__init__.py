@@ -51,7 +51,6 @@ from .plan import (
 )
 from .search import SearchLimits, min_swap_astar
 from .single_buffer import (
-    cycle_group_switching,
     plan_cycle_following,
     plan_cycle_switching,
     plan_single_buffer_2d,
@@ -86,7 +85,6 @@ __all__ = [
     "SearchLimits",
     "SizeLimitExceeded",
     "assign_cycles",
-    "cycle_group_switching",
     "cycle_statistics",
     "decompose_cycles",
     "evaluate_cost",

@@ -153,8 +153,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
     )
     rows = run_sweep(cases, args.seed, workers=args.workers)
     write_results_csv(rows, args.out)
-    done = sum(1 for r in rows if not r["timeout"])
-    print(f"{len(rows)} runs ({done} finished) -> {args.out}")
+    done = sum(1 for r in rows if not r["timeout"] and not r["error"])
+    errors = sum(1 for r in rows if r["error"])
+    print(f"{len(rows)} runs ({done} finished, {errors} errors) -> {args.out}")
     if args.savings_out:
         table = report_savings(rows, args.baseline_algo, args.baseline_k)
         write_savings_csv(table, args.savings_out)

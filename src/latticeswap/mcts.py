@@ -18,9 +18,11 @@ Rollout costs set the scale of the exploration constant: unless one is
 given, it is a tenth of the mean episode cost of the first rollouts at
 each decision point.
 
-Every leg the search prices, in action ordering, steps, rollouts and the
-final trip home, is read from the leg table of ``search.leg_table``,
-computed once per plan.
+States, acts and rollouts use the scope positions of the one state
+kernel in ``search`` (``enumerate_actions`` and ``apply_action``,
+reached through ``oracle``); acts become cell labels once, when the
+plan is returned.  Every leg the search prices is read from the leg
+table of ``search.leg_table``, computed once per plan.
 """
 
 from __future__ import annotations
@@ -31,10 +33,10 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import InvalidConfig, PlanningTimeout
-from .lattice import EMPTY, Arrangement, nontrivial_cycles, resident_map
+from .lattice import Arrangement, nontrivial_cycles, resident_map
 from .oracle import apply_action, enumerate_actions
-from .plan import CostParams, PickNSwap, Plan, bookend
-from .search import assign_buffers, leg_table
+from .plan import CostParams, Plan, bookend
+from .search import Act, assign_buffers, label_actions, leg_table, scope_contents
 
 STALL_PENALTY_OPS = 1_000_000
 CALIBRATION_ROLLOUTS = 32
@@ -65,8 +67,8 @@ class MctsConfig:
 @dataclass
 class _Node:
     state: tuple
-    untried: list[PickNSwap]
-    children: list[tuple[PickNSwap, float, "_Node"]] = field(default_factory=list)
+    untried: list[Act]
+    children: list[tuple[Act, float, "_Node"]] = field(default_factory=list)
     visits: int = 0
     cost_sum: float = 0.0
 
@@ -76,19 +78,19 @@ class _Node:
 
 
 def ucb_choice(
-    children: Sequence[tuple[PickNSwap, float, _Node]], parent_visits: int, c_ucb: float
-) -> tuple[PickNSwap, float, _Node]:
+    children: Sequence[tuple[Act, float, _Node]], parent_visits: int, c_ucb: float
+) -> tuple[Act, float, _Node]:
     """Child with the best mean-minus-exploration score.
 
     Costs are minimized, so the exploration bonus is subtracted; ties
-    fall to the smallest cell index.
+    fall to the smallest cell position.
     """
     log_n = math.log(parent_visits)
     return min(
         children,
         key=lambda entry: (
             entry[2].mean - c_ucb * math.sqrt(log_n / entry[2].visits),
-            entry[0].cell,
+            entry[0][0],
         ),
     )
 
@@ -111,28 +113,23 @@ def plan_mcts(
         return Plan((be, be), buffer_of=(None, None))
 
     cells = tuple(sorted(cell for c in cycles for cell in c.cells))
-    index = {cell: i for i, cell in enumerate(cells)}
-    goal = cells
-    rest = lattice.rest
-    # leg[a][b] is the distance between cells a and b, the rest cell included;
-    # when the rest cell is also in scope, both of its rows hold the same legs.
-    points = (*cells, rest)
-    leg = {a: dict(zip(points, row)) for a, row in zip(points, leg_table(lattice, cells)[0])}
+    n = len(cells)
+    goal = tuple(range(n))
+    legs = leg_table(lattice, cells)[0]
+    range_prune = config.range_prune and lattice.ndim == 1
     rollout_cap = config.rollout_cap_factor * lattice.m
 
-    def legal(state) -> list[PickNSwap]:
+    def legal(state) -> list[Act]:
         pos, held, contents = state
-        options = enumerate_actions(
-            contents, held, pos, cells, k, lattice, range_prune=config.range_prune
-        )
-        row = leg[pos]
-        options.sort(key=lambda a: (row[a.cell], a.cell))
+        options = enumerate_actions(contents, held, pos, k, range_prune)
+        row = legs[pos]
+        options.sort(key=lambda a: (row[a[0]], a[0]))
         return options
 
     def step(state, action) -> tuple[tuple, float]:
         pos, held, contents = state
-        nc, nh = apply_action(contents, held, action, index)
-        return (action.cell, nh, nc), params.c_p + params.c_t * leg[pos][action.cell]
+        nc, nh = apply_action(contents, held, action, n)
+        return (action[0], nh, nc), params.c_p + params.c_t * legs[pos][action[0]]
 
     def terminal(state) -> bool:
         return state[2] == goal and not state[1]
@@ -143,35 +140,33 @@ def plan_mcts(
         pos, held, contents = state
         content = list(contents)
         hand = list(held)
-        open_cells = [c for i, c in enumerate(cells) if content[i] != c]
+        open_cells = [i for i in range(n) if content[i] != i]
         cost = 0.0
         for _ in range(rollout_cap):
             if hand:
                 target = hand[rng.randrange(len(hand))] if len(hand) > 1 else hand[0]
-                i = index[target]
-                picked = content[i]
-                content[i] = target
+                picked = content[target]
+                content[target] = target
                 hand.remove(target)
-                if picked != EMPTY:
+                if picked != n:
                     hand.append(picked)
                 open_cells.remove(target)
-                cost += params.c_p + params.c_t * leg[pos][target]
+                cost += params.c_p + params.c_t * legs[pos][target]
                 pos = target
             elif open_cells:
-                pickable = [c for c in open_cells if content[index[c]] != EMPTY]
+                pickable = [i for i in open_cells if content[i] != n]
                 at = pickable[rng.randrange(len(pickable))]
-                i = index[at]
-                hand.append(content[i])
-                content[i] = EMPTY
-                cost += params.c_p + params.c_t * leg[pos][at]
+                hand.append(content[at])
+                content[at] = n
+                cost += params.c_p + params.c_t * legs[pos][at]
                 pos = at
             else:
-                return cost + params.c_t * leg[pos][rest]
+                return cost + params.c_t * legs[pos][n]
         if not hand and not open_cells:
-            return cost + params.c_t * leg[pos][rest]
+            return cost + params.c_t * legs[pos][n]
         return cost + STALL_PENALTY_OPS * params.c_p
 
-    def decide(root_state, seen: set) -> PickNSwap:
+    def decide(root_state, seen: set) -> Act:
         options = legal(root_state)
         # Committing into a hand/contents configuration the executed
         # prefix already produced would let the plan walk in circles,
@@ -205,22 +200,18 @@ def plan_mcts(
                 path.append(child)
                 spent += edge
                 node = child
-            tail = (
-                params.c_t * leg[node.state[0]][rest] if terminal(node.state) else rollout(node.state)
-            )
+            tail = params.c_t * legs[node.state[0]][n] if terminal(node.state) else rollout(node.state)
             total = spent + tail
             if len(calibration) < CALIBRATION_ROLLOUTS:
                 calibration.append(total)
-            for n in path:
-                n.visits += 1
-                n.cost_sum += total
-        action, _, _ = min(root.children, key=lambda entry: (entry[2].mean, entry[0].cell))
+            for visited in path:
+                visited.visits += 1
+                visited.cost_sum += total
+        action, _, _ = min(root.children, key=lambda entry: (entry[2].mean, entry[0][0]))
         return action
 
-    resident = resident_map(cycles)
-    contents = tuple(resident[cell] for cell in cells)
-    state = (rest, (), contents)
-    actions: list[PickNSwap] = []
+    state = (n, (), scope_contents(cells, resident_map(cycles)))
+    actions: list[Act] = []
     seen = {state[1:]}
     commit_cap = max(64, 6 * lattice.m)
     while not terminal(state):
@@ -230,7 +221,8 @@ def plan_mcts(
         actions.append(action)
         state, _ = step(state, action)
         seen.add(state[1:])
+    plan = label_actions(actions, cells)
     return Plan(
-        (be, *actions, be),
-        buffer_of=(None, *assign_buffers(actions, k), None),
+        (be, *plan, be),
+        buffer_of=(None, *assign_buffers(plan, k), None),
     )

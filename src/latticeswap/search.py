@@ -15,10 +15,16 @@ swap-minimal plan reduces to minimizing travel.  ``min_swap_astar``
 runs A* over (position, held objects, cell contents) with the
 admissible bound "farthest unresolved cell, then home".
 
-The search works on scope positions, not cell labels: the n cells in
-scope are numbered ``0..n-1`` in label order and the rest cell is
-``n``; objects are numbered by their goal cell's position.  Three
-things keep a push cheap:
+The package's one (position, hand, contents) state kernel lives here,
+on scope positions rather than cell labels: the n cells in scope are
+``0..n-1`` in label order, ``n`` names both the rest cell and "no
+object", and an object is named by its goal cell's position.
+``actions_at`` lists the useful acts at one position as ``(position,
+deposit, pick)`` triples, ``enumerate_actions`` collects them over the
+unresolved positions, and ``apply_action`` is the one transition rule.
+``min_swap_astar`` asks ``actions_at`` only about cells of untouched
+cycles and adds the goal drops; the unrestricted oracle and ``plan_mcts``
+use ``enumerate_actions``.  Three things keep a push cheap:
 
 - ``leg_table`` computes every leg between two positions once per
   search, ``(n+1)**2`` distance calls in all, and every step cost and
@@ -64,6 +70,8 @@ class SearchLimits:
 
 
 DEADLINE_CHECK_EVERY = 1024  # expansions between wall-clock checks
+
+Act = tuple[int, int, int]  # (position, deposit, pick) on scope positions
 
 
 def _astar(
@@ -137,6 +145,87 @@ def leg_table(
     return legs, far
 
 
+def actions_at(
+    i: int, contents: tuple[int, ...], held: tuple[int, ...], room: bool, empty: int
+) -> list[Act]:
+    """The useful acts at unresolved position ``i``, as ``(i, deposit, pick)``.
+
+    With the cell's goal object in hand the only sensible act deposits
+    it, taking over whatever sits there.  Otherwise: a pick into a free
+    slot first (when ``room`` and the cell is not empty), then one swap
+    per held object, in ``held`` order.
+    """
+    resident = contents[i]
+    if i in held:
+        return [(i, i, resident)]
+    swaps = [(i, h, resident) for h in held]
+    return [(i, empty, resident), *swaps] if room and resident != empty else swaps
+
+
+def enumerate_actions(
+    contents: tuple[int, ...],
+    held: tuple[int, ...],
+    pos: int,
+    k: int,
+    range_prune: bool = False,
+) -> list[Act]:
+    """Every useful act in a state, unresolved positions in order.
+
+    Cells already showing their goal object are never touched.  With
+    ``range_prune``, which only makes sense on a 1D row, acts are
+    restricted to the positions between the nearest held-object goals
+    on either side of the robot, a heuristic reduction for samplers.
+    """
+    n = len(contents)
+    lo, hi = 0, n - 1
+    if range_prune and held:
+        left = [g for g in held if g <= pos]
+        right = [g for g in held if g >= pos]
+        if left:
+            lo = max(left)
+        if right:
+            hi = min(right)
+    room = len(held) < k
+    out: list[Act] = []
+    for i in range(lo, hi + 1):
+        if contents[i] != i:
+            out += actions_at(i, contents, held, room, n)
+    return out
+
+
+def apply_action(
+    contents: tuple[int, ...], held: tuple[int, ...], act: Act, empty: int
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The contents and sorted hand after ``act``, the one transition rule.
+
+    It runs once per successor of every search, so each kind of act
+    builds its hand directly; a generic filter over ``held`` is slower.
+    """
+    i, deposit, pick = act
+    nc = list(contents)
+    if deposit == empty:
+        nc[i] = empty
+        return tuple(nc), tuple(sorted(held + (pick,))) if held else (pick,)
+    nc[i] = deposit
+    if len(held) == 1:
+        return tuple(nc), () if pick == empty else (pick,)
+    if pick == empty:
+        return tuple(nc), tuple([h for h in held if h != deposit])
+    return tuple(nc), tuple(sorted([h for h in held if h != deposit] + [pick]))
+
+
+def scope_contents(cells: Sequence[int], resident: dict[int, int]) -> tuple[int, ...]:
+    """The object at each scope position, named by its goal's position."""
+    index = {cell: i for i, cell in enumerate(cells)}
+    return tuple(index[resident[cell]] for cell in cells)
+
+
+def label_actions(acts: Iterable[Act], cells: Sequence[int]) -> list[PickNSwap]:
+    """Position triples back to pick-n-swaps on cell labels."""
+    label = (*cells, EMPTY)
+    return [PickNSwap(cells[i], label[deposit], label[pick]) for i, deposit, pick in acts]
+
+
 def min_swap_astar(
     lattice: Lattice,
     cycles: Sequence[Cycle],
@@ -163,14 +252,9 @@ def min_swap_astar(
             f"{len(cells)} cells in scope exceeds the exact-search cap of {limits.size_cap}"
         )
 
-    # Positions, objects and cell contents are all scope positions; an
-    # empty cell holds ``n``, which ``label`` maps back to EMPTY.
     n = len(cells)
     index = {cell: i for i, cell in enumerate(cells)}
-    label = (*cells, EMPTY)
     cycle_idx = [tuple(index[cell] for cell in c.cells) for c in work]
-    initial = resident_map(work)
-    orig = tuple(index[initial[cell]] for cell in cells)
     goal = tuple(range(n))
     legs, far = leg_table(lattice, cells)
 
@@ -195,30 +279,17 @@ def min_swap_astar(
                 continue
             mask = touched | 1 << j
             for i in idxs:
-                resident = contents[i]
-                leg = row[i]
-                if room:
-                    nc = list(contents)
-                    nc[i] = n
-                    nh = tuple(sorted(held + (resident,)))
-                    yield (i, nh, tuple(nc), mask), leg, (i, n, resident)
-                for h in held:
-                    nc = list(contents)
-                    nc[i] = h
-                    nh = tuple(sorted([x for x in held if x != h] + [resident]))
-                    yield (i, nh, tuple(nc), mask), leg, (i, h, resident)
+                for act in actions_at(i, contents, held, room, n):
+                    nc, nh = apply_action(contents, held, act, n)
+                    yield (i, nh, nc, mask), row[i], act
         # Drop a held object at its goal cell, taking over whatever sits there.
         for h in held:
-            resident = contents[h]
-            nc = list(contents)
-            nc[h] = h
-            rest_held = [x for x in held if x != h]
-            if resident != n:
-                rest_held.append(resident)
-            yield (h, tuple(sorted(rest_held)), tuple(nc), touched), row[h], (h, h, resident)
+            act = (h, h, contents[h])
+            nc, nh = apply_action(contents, held, act, n)
+            yield (h, nh, nc, touched), row[h], act
 
-    path = _astar((n, (), orig, 0), expand, heuristic, is_goal, limits.timeout_s)
-    return [PickNSwap(cells[i], label[deposit], label[pick]) for i, deposit, pick in path]
+    start = (n, (), scope_contents(cells, resident_map(work)), 0)
+    return label_actions(_astar(start, expand, heuristic, is_goal, limits.timeout_s), cells)
 
 
 def assign_buffers(actions: Sequence[PickNSwap], k: int) -> tuple[int | None, ...]:

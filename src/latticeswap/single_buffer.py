@@ -173,23 +173,6 @@ def compose_group_actions(per_group: Sequence[list[PickNSwap]]) -> list[PickNSwa
     return composed
 
 
-def cycle_group_switching(group_plans: Sequence[Plan], lattice: Lattice) -> Plan:
-    """Combine single-buffer plans of span-disjoint groups by splicing.
-
-    Plans must be ordered left to right and bracketed by rest bookends.
-    The result costs the sum of the parts minus, for every splice,
-    twice the distance from rest to the rightmost cell already covered.
-    """
-    stripped = []
-    for plan in group_plans:
-        actions = [a for a in plan.actions if not a.is_noop]
-        if not actions:
-            continue
-        stripped.append(actions)
-    fallback = any(p.fallback for p in group_plans)
-    return bracket(compose_group_actions(stripped), lattice, fallback=fallback)
-
-
 def plan_cycle_switching(start: Arrangement, detour_slack: float = ON_SEGMENT_SLACK) -> Plan:
     """Greedy cycle-switching plan; groups are planned and spliced."""
     lattice = start.lattice

@@ -125,6 +125,16 @@ class TestBenchCommand:
         assert len(rows) == 8
         assert {r["algo"] for r in rows} == {"switch", "dp"}
 
+    def test_summary_counts_error_rows_apart(self, tmp_path, capsys):
+        # m = 0 is an InvalidConfig row with no plan; it is an error, not a finished run.
+        out = tmp_path / "r.csv"
+        code = run("bench", "--m", "0,5", "--algo", "switch", "--trials", "2", "-o", str(out))
+        assert code == 0
+        assert f"4 runs (2 finished, 2 errors) -> {out}" in capsys.readouterr().out
+        with open(out, newline="") as fh:
+            errors = [r["error"] for r in csv.DictReader(fh)]
+        assert sorted(errors) == ["", "", "InvalidConfig", "InvalidConfig"]
+
     def test_config_file_supplies_options(self, tmp_path, capsys):
         out = tmp_path / "r.csv"
         config = tmp_path / "sweep.json"

@@ -9,17 +9,18 @@ from latticeswap.lattice import Arrangement, random_arrangement
 from latticeswap.mcts import MctsConfig, _Node, plan_mcts, ucb_choice
 from latticeswap.plan import (
     CostParams,
-    PickNSwap,
     evaluate_cost,
     min_swap_count,
     simulate,
 )
 
 TWO_CYCLE_BOARD = [4, 2, 5, 1, 3]
+SCOPE = 9  # cells in scope; position SCOPE also names "no object"
 
 
-def child(cell, visits, cost_sum):
-    return (PickNSwap(cell, 0, cell), 1.0, _Node(state=(), untried=[], visits=visits, cost_sum=cost_sum))
+def child(pos, visits, cost_sum):
+    """A decision-root child whose act picks at scope position ``pos``."""
+    return ((pos, SCOPE, pos), 1.0, _Node(state=(), untried=[], visits=visits, cost_sum=cost_sum))
 
 
 class TestUcbChoice:
@@ -36,6 +37,8 @@ class TestUcbChoice:
         assert ucb_choice(children, 20, 0.0) is children[1]
 
     def test_tie_breaks_by_cell(self):
+        # Scope positions are numbered in cell order, so the smaller
+        # position is the smaller cell.
         children = [child(4, 5, 50.0), child(2, 5, 50.0)]
         assert ucb_choice(children, 10, 1.0) is children[1]
 

@@ -3,22 +3,16 @@
 import pytest
 
 from latticeswap.errors import PlanningTimeout, SizeLimitExceeded
-from latticeswap.lattice import EMPTY, Arrangement, Lattice, nontrivial_cycles, random_arrangement
-from latticeswap.oracle import (
-    OracleLimits,
-    apply_action,
-    enumerate_actions,
-    plan_optimal,
-    plan_optimal_unrestricted,
-)
+from latticeswap.lattice import EMPTY, Arrangement, nontrivial_cycles, random_arrangement
+from latticeswap.oracle import OracleLimits, plan_optimal, plan_optimal_unrestricted
 from latticeswap.plan import (
     CostParams,
-    PickNSwap,
     evaluate_cost,
     min_swap_count,
     simulate,
     travel_distance,
 )
+from latticeswap.search import apply_action, enumerate_actions
 from oracles import brute_min_operations, brute_min_travel
 
 TWO_CYCLE_BOARD = [4, 2, 5, 1, 3]
@@ -108,46 +102,51 @@ class TestPlanOptimalUnrestricted:
 
 
 class TestEnumerateActions:
-    def setup_method(self):
-        self.lat = Lattice((8,))
-        self.cells = tuple(range(1, 9))
+    """The state kernel on scope positions: cell ``c`` of the 8-cell row
+    is position ``c - 1``, and position 8 is both the rest cell and "no
+    object"; an object is named by its goal cell's position."""
+
+    N = 8
+
+    def pos(self, *labels):
+        return tuple(self.N if c == EMPTY else c - 1 for c in labels)
 
     def test_holding_far_goals_narrows_the_window(self):
         # Mid-plan state of the two-group example: objects 1 and 4 in
         # hand, robot parked at cell 7.  Everything useful now happens
         # between the nearest held goal on the left (4) and the row end.
-        contents = (2, 3, EMPTY, 5, 7, 8, EMPTY, 6)
-        pruned = enumerate_actions(contents, (1, 4), 7, self.cells, 2, self.lat, range_prune=True)
+        contents = self.pos(2, 3, EMPTY, 5, 7, 8, EMPTY, 6)
+        held, at = self.pos(1, 4), 6
+        pruned = enumerate_actions(contents, held, at, 2, range_prune=True)
         assert pruned
-        assert all(4 <= a.cell <= 8 for a in pruned)
-        full = enumerate_actions(contents, (1, 4), 7, self.cells, 2, self.lat)
-        assert {a.cell for a in full} - {a.cell for a in pruned} == {1, 2, 3}
+        assert all(3 <= a[0] <= 7 for a in pruned)
+        full = enumerate_actions(contents, held, at, 2)
+        assert {a[0] for a in full} - {a[0] for a in pruned} == set(self.pos(1, 2, 3))
 
     def test_goal_state_offers_nothing(self):
-        contents = tuple(range(1, 9))
-        assert enumerate_actions(contents, (), 1, self.cells, 2, self.lat) == []
+        contents = tuple(range(self.N))
+        assert enumerate_actions(contents, (), 0, 2) == []
 
     def test_resolved_cells_left_alone(self):
-        contents = (1, 3, 2, 4, 5, 6, 7, 8)
-        acts = enumerate_actions(contents, (), 1, self.cells, 1, self.lat)
-        assert {a.cell for a in acts} == {2, 3}
+        contents = self.pos(1, 3, 2, 4, 5, 6, 7, 8)
+        acts = enumerate_actions(contents, (), 0, 1)
+        assert {a[0] for a in acts} == set(self.pos(2, 3))
 
     def test_held_goal_forces_deposit(self):
-        contents = (2, EMPTY, 1, 4, 5, 6, 7, 8)
-        acts = enumerate_actions(contents, (3,), 3, self.cells, 1, self.lat)
-        at_three = [a for a in acts if a.cell == 3]
-        assert at_three == [PickNSwap(3, 3, 1)]
+        contents = self.pos(2, EMPTY, 1, 4, 5, 6, 7, 8)
+        acts = enumerate_actions(contents, self.pos(3), 2, 1)
+        at_three = [a for a in acts if a[0] == 2]
+        assert at_three == [self.pos(3, 3, 1)]
 
     def test_full_hand_must_deposit(self):
-        contents = (2, 1, EMPTY, EMPTY, 5, 6, 7, 8)
-        acts = enumerate_actions(contents, (3, 4), 5, self.cells, 2, self.lat)
+        contents = self.pos(2, 1, EMPTY, EMPTY, 5, 6, 7, 8)
+        acts = enumerate_actions(contents, self.pos(3, 4), 4, 2)
         assert acts
-        assert all(a.deposit != EMPTY for a in acts)
+        assert all(a[1] != self.N for a in acts)
 
     def test_apply_action_round_trip(self):
-        index = {c: i for i, c in enumerate(self.cells)}
-        contents = (2, 3, 1, 5, 7, 8, 4, 6)
-        nc, nh = apply_action(contents, (), PickNSwap(3, EMPTY, 1), index)
-        assert nc[2] == EMPTY and nh == (1,)
-        nc, nh = apply_action(nc, nh, PickNSwap(1, 1, 2), index)
-        assert nc[0] == 1 and nh == (2,)
+        contents = self.pos(2, 3, 1, 5, 7, 8, 4, 6)
+        nc, nh = apply_action(contents, (), self.pos(3, EMPTY, 1), self.N)
+        assert nc[2] == self.N and nh == self.pos(1)
+        nc, nh = apply_action(nc, nh, self.pos(1, 1, 2), self.N)
+        assert nc[0] == 0 and nh == self.pos(2)

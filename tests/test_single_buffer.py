@@ -25,7 +25,6 @@ from latticeswap.plan import (
 from latticeswap.search import SearchLimits, min_swap_astar
 from latticeswap.single_buffer import (
     compose_group_actions,
-    cycle_group_switching,
     greedy_switch_actions,
     plan_cycle_following,
     plan_cycle_switching,
@@ -156,7 +155,7 @@ class TestSplicing:
                 continue
             parts = [greedy_switch_actions(g.cycles, lattice) for g in groups]
             plans = [bracket(p, lattice) for p in parts]
-            combined = cycle_group_switching(plans, lattice)
+            combined = bracket(compose_group_actions(parts), lattice)
             assert simulate(combined, arr).valid
             total_parts = sum(travel_distance(p, lattice) for p in plans)
             saved = sum(
@@ -170,7 +169,9 @@ class TestSplicing:
             lattice = arr.lattice
             groups = group_cycles(nontrivial_cycles(arr), lattice)
             plans = [bracket(greedy_switch_actions(g.cycles, lattice), lattice) for g in groups]
-            assert cycle_group_switching(plans, lattice).actions == plan_cycle_switching(arr).actions
+            inner = [[a for a in p.actions if not a.is_noop] for p in plans]
+            combined = bracket(compose_group_actions(inner), lattice)
+            assert combined.actions == plan_cycle_switching(arr).actions
 
     def test_outer_empty_handed_at_rightmost(self):
         outer = [PickNSwap(3, EMPTY, 5), PickNSwap(5, 5, EMPTY)]
