@@ -10,6 +10,7 @@ searches, plan validation and pricing, and a benchmark harness.
 from .errors import (
     InvalidArrangement,
     InvalidConfig,
+    InvalidInput,
     InvalidPlanStructure,
     LatticeSwapError,
     MergeStateLimit,
@@ -71,6 +72,7 @@ __all__ = [
     "Instance",
     "InvalidArrangement",
     "InvalidConfig",
+    "InvalidInput",
     "InvalidPlanStructure",
     "Lattice",
     "LatticeSwapError",

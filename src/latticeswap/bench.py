@@ -55,8 +55,8 @@ PLANNERS: dict[str, Callable[..., Plan]] = {
     "dp": lambda arr, k, timeout_s, **_: plan_multi_buffer_dp(
         arr, k, PipelineConfig(search_timeout_s=timeout_s)
     ),
-    "mcts": lambda arr, k, cp, ct, budget, seed, range_prune, **_: plan_mcts(
-        arr, k, CostParams(cp, ct), MctsConfig(budget=budget, range_prune=range_prune, seed=seed)
+    "mcts": lambda arr, k, cp, ct, budget, seed, **_: plan_mcts(
+        arr, k, CostParams(cp, ct), MctsConfig(budget=budget, seed=seed)
     ),
     "opt": lambda arr, k, timeout_s, **_: plan_optimal(arr, k, OracleLimits(timeout_s=timeout_s)),
 }
@@ -117,15 +117,18 @@ def build_instance(dim: int, m_nominal: int, base_seed: int, trial: int, k: int)
 
 @dataclass(frozen=True)
 class BenchCase:
+    """One sweep case.  Its defaults for ``cp``, ``ct``, ``timeout_s``
+    and ``budget`` are also those of ``plan_instance`` and the ``cli``."""
+
     dim: int
     m: int  # nominal; 2D boards may round up
     k: int
     algo: str
     trial: int
-    cp: float = 1.0
-    ct: float = 1.0
+    cp: float = CostParams.c_p
+    ct: float = CostParams.c_t
     timeout_s: float = 60.0
-    budget: int = 2048
+    budget: int = MctsConfig.budget
 
 
 def sweep_cases(
@@ -134,16 +137,15 @@ def sweep_cases(
     ks: Sequence[int],
     algos: Sequence[str],
     trials: int,
-    cp: float = 1.0,
-    ct: float = 1.0,
-    timeout_s: float = 60.0,
-    budget: int = 2048,
+    **settings,
 ) -> list[BenchCase]:
+    """Every (dim, m, k, algo, trial) case; ``settings`` are the
+    ``BenchCase`` fields ``cp``, ``ct``, ``timeout_s`` and ``budget``."""
     for algo in algos:
         if algo not in PLANNERS:
             raise InvalidConfig(f"unknown algorithm {algo!r}; choose from {ALGORITHMS}")
     return [
-        BenchCase(dim, m, k, algo, trial, cp, ct, timeout_s, budget)
+        BenchCase(dim, m, k, algo, trial, **settings)
         for dim in dims
         for m in ms
         for k in ks
@@ -156,27 +158,25 @@ def plan_instance(
     instance: Instance,
     algo: str,
     *,
-    cp: float = 1.0,
-    ct: float = 1.0,
-    timeout_s: float = 60.0,
-    budget: int = 2048,
+    cp: float = BenchCase.cp,
+    ct: float = BenchCase.ct,
+    timeout_s: float = BenchCase.timeout_s,
+    budget: int = BenchCase.budget,
     seed: int = 0,
-    range_prune: bool = True,
 ) -> Plan:
     """Plan an instance with the registered planner ``algo``.
 
     ``timeout_s`` bounds the searches of ``exact``, ``dp`` and ``opt``;
-    ``cp``/``ct``, ``budget``, ``seed`` and ``range_prune`` configure
-    ``mcts``.  The other planners take no settings.  Every planner
-    needs at least one buffer, including those that use just one.
+    ``cp``/``ct``, ``budget`` and ``seed`` configure ``mcts``.  The
+    other planners take no settings.  Every planner needs at least one
+    buffer, including those that use just one.
     """
     if algo not in PLANNERS:
         raise InvalidConfig(f"unknown algorithm {algo!r}; choose from {ALGORITHMS}")
     if instance.k < 1:
         raise InvalidConfig(f"need at least one buffer, got k={instance.k}")
     return PLANNERS[algo](
-        instance.arrangement, instance.k, cp=cp, ct=ct, timeout_s=timeout_s,
-        budget=budget, seed=seed, range_prune=range_prune,
+        instance.arrangement, instance.k, cp=cp, ct=ct, timeout_s=timeout_s, budget=budget, seed=seed
     )
 
 

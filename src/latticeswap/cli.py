@@ -17,6 +17,7 @@ import sys
 
 from .bench import (
     ALGORITHMS,
+    BenchCase,
     board_dims,
     plan_instance,
     report_savings,
@@ -27,9 +28,10 @@ from .bench import (
     write_savings_csv,
     write_stats_csv,
 )
-from .errors import InvalidConfig, LatticeSwapError
+from .errors import InvalidConfig, InvalidInput, LatticeSwapError
 from .lattice import random_arrangement
 from .plan import CostParams, Instance, Plan, evaluate_cost, simulate
+from .search import SearchLimits
 
 
 def _int_list(text: str) -> list[int]:
@@ -56,16 +58,22 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_instance(path: str) -> Instance:
-    with open(path) as fh:
-        return Instance.from_json(fh.read())
+def _load(path: str, parse):
+    """``parse`` of a JSON input file; an unreadable file is a package error."""
+    try:
+        with open(path) as fh:
+            return parse(fh.read())
+    except KeyError as exc:
+        raise InvalidInput(f"{path}: missing field {exc}") from exc
+    except (OSError, TypeError, ValueError) as exc:
+        raise InvalidInput(f"{path}: {exc}") from exc
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
-    instance = _load_instance(args.instance)
+    instance = _load(args.instance, Instance.from_json)
     plan = plan_instance(
         instance, args.algo, cp=args.cp, ct=args.ct, timeout_s=args.timeout,
-        budget=args.budget, seed=args.seed, range_prune=not args.no_range_prune,
+        budget=args.budget, seed=args.seed,
     )
     report = evaluate_cost(plan, instance.arrangement.lattice, CostParams(args.cp, args.ct))
     if args.out:
@@ -78,68 +86,42 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    instance = _load_instance(args.instance)
-    with open(args.plan) as fh:
-        plan = Plan.from_json(fh.read())
+    """Validate a plan; only a valid plan is priced, since an invalid one
+    may name cells that are not on the board."""
+    instance = _load(args.instance, Instance.from_json)
+    plan = _load(args.plan, Plan.from_json)
     result = simulate(plan, instance.arrangement, instance.k)
-    report = evaluate_cost(plan, instance.arrangement.lattice, CostParams(args.cp, args.ct))
-    payload = {"valid": result.valid, **report.to_dict()}
-    if not result.valid:
-        payload["reason"] = result.reason
-        payload["failed_index"] = result.failed_index
+    if result.valid:
+        report = evaluate_cost(plan, instance.arrangement.lattice, CostParams(args.cp, args.ct))
+        payload = {"valid": True, **report.to_dict()}
+    else:
+        payload = {"valid": False, "reason": result.reason, "failed_index": result.failed_index}
     print(json.dumps(payload))
     return 0 if result.valid else 1
 
 
-BENCH_DEFAULTS = {
-    "dim": [1],
-    "m": None,
-    "k": [1],
-    "algo": None,
-    "trials": 5,
-    "seed": 0,
-    "cp": 1.0,
-    "ct": 1.0,
-    "timeout": 60.0,
-    "budget": 2048,
-    "workers": None,
-    "out": None,
-    "baseline_algo": None,
-    "baseline_k": 1,
-    "savings_out": None,
-}
+def _flag_text(value):
+    """A config value as the text of its flag; ``None`` stays unset."""
+    if isinstance(value, list):
+        return ",".join(map(str, value))
+    return None if value is None else str(value)
 
 
-def _merge_bench_args(args: argparse.Namespace) -> argparse.Namespace:
-    """Fill unset bench options from the config file, then defaults.
+def _bench_config(text: str) -> dict:
+    """Bench options from JSON, as flag text that the options' own types
+    parse: ``"m": [50, 100]``, ``"m": 50`` and ``"m": "50,100"`` all
+    work, and so do lists for ``algo``."""
+    config = json.loads(text)
+    if not isinstance(config, dict):
+        raise ValueError("a bench config is a JSON object of options")
+    return {key: _flag_text(value) for key, value in config.items()}
 
-    Command-line values always win; the JSON config supplies whatever
-    the command line leaves out.
-    """
-    config = {}
-    if args.config:
-        with open(args.config) as fh:
-            config = json.load(fh)
-        unknown = set(config) - set(BENCH_DEFAULTS)
-        if unknown:
-            raise SystemExit(f"unknown config keys: {', '.join(sorted(unknown))}")
-    for key, fallback in BENCH_DEFAULTS.items():
-        if getattr(args, key) is None:
-            value = config.get(key, fallback)
-            if key in ("dim", "m", "k") and isinstance(value, (int, str)):
-                value = _int_list(str(value))
-            setattr(args, key, value)
-    if isinstance(args.algo, list):
-        args.algo = ",".join(args.algo)
+
+def cmd_bench(args: argparse.Namespace) -> int:
     if args.m is None or args.algo is None or args.out is None:
         raise SystemExit("bench needs --m, --algo, and --out (flags or config file)")
     if args.savings_out and not args.baseline_algo:
         raise SystemExit("--savings-out needs --baseline-algo")
-    return args
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    args = _merge_bench_args(args)
     cases = sweep_cases(
         dims=args.dim,
         ms=args.m,
@@ -170,7 +152,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(bench_config: dict | None = None) -> argparse.ArgumentParser:
+    """The command line parser; ``bench_config`` replaces bench defaults."""
     parser = argparse.ArgumentParser(
         prog="latticeswap",
         description="Pick-n-swap rearrangement planning on 1D and 2D lattices.",
@@ -188,44 +171,44 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("plan", help="plan an instance")
     p.add_argument("-i", "--instance", required=True)
     p.add_argument("--algo", choices=ALGORITHMS, required=True)
-    p.add_argument("--cp", type=float, default=1.0, help="cost per operation")
-    p.add_argument("--ct", type=float, default=1.0, help="cost per unit distance")
-    p.add_argument("--budget", type=int, default=2048, help="rollouts per action (mcts)")
+    p.add_argument("--cp", type=float, default=BenchCase.cp, help="cost per operation")
+    p.add_argument("--ct", type=float, default=BenchCase.ct, help="cost per unit distance")
+    p.add_argument("--budget", type=int, default=BenchCase.budget, help="rollouts per action (mcts)")
     p.add_argument("--seed", type=int, default=0, help="rollout seed (mcts)")
-    p.add_argument(
-        "--no-range-prune",
-        action="store_true",
-        help="disable the 1D action pruning inside mcts",
-    )
-    p.add_argument("--timeout", type=float, default=600.0, help="search budget in seconds")
+    p.add_argument("--timeout", type=float, default=SearchLimits.timeout_s, help="search budget in seconds")
     p.add_argument("-o", "--out", default=None, help="plan JSON path (default: stdout)")
     p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser("eval", help="validate and price a plan")
     p.add_argument("-i", "--instance", required=True)
     p.add_argument("-p", "--plan", required=True)
-    p.add_argument("--cp", type=float, default=1.0)
-    p.add_argument("--ct", type=float, default=1.0)
+    p.add_argument("--cp", type=float, default=BenchCase.cp)
+    p.add_argument("--ct", type=float, default=BenchCase.ct)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("bench", help="run a benchmark sweep")
     p.add_argument("--config", default=None, help="JSON file of bench options")
-    p.add_argument("--dim", type=_int_list, default=None, help="comma list of 1,2")
+    p.add_argument("--dim", type=_int_list, default=[1], help="comma list of 1,2")
     p.add_argument("--m", type=_int_list, default=None, help="comma list of sizes")
-    p.add_argument("--k", type=_int_list, default=None, help="comma list of buffer counts")
+    p.add_argument("--k", type=_int_list, default=[1], help="comma list of buffer counts")
     p.add_argument("--algo", default=None, help="comma list of algorithms")
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--cp", type=float, default=None)
-    p.add_argument("--ct", type=float, default=None)
-    p.add_argument("--timeout", type=float, default=None, help="per-run budget in seconds")
-    p.add_argument("--budget", type=int, default=None, help="rollouts per action (mcts)")
+    p.add_argument("--trials", type=int, default=5)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--cp", type=float, default=BenchCase.cp)
+    p.add_argument("--ct", type=float, default=BenchCase.ct)
+    p.add_argument("--timeout", type=float, default=BenchCase.timeout_s, help="per-run budget in seconds")
+    p.add_argument("--budget", type=int, default=BenchCase.budget, help="rollouts per action (mcts)")
     p.add_argument("--workers", type=int, default=None, help="processes (default: LATTICESWAP_WORKERS or 1)")
     p.add_argument("--baseline-algo", default=None, help="reference algorithm for the savings table")
-    p.add_argument("--baseline-k", type=int, default=None, help="reference buffer count (default 1)")
+    p.add_argument("--baseline-k", type=int, default=1, help="reference buffer count")
     p.add_argument("--savings-out", default=None, help="aggregated travel-ratio CSV path")
     p.add_argument("-o", "--out", default=None, help="results CSV path")
     p.set_defaults(func=cmd_bench)
+    if bench_config:
+        unknown = set(bench_config) - set(vars(p.parse_args([]))) - {"config", "func"}
+        if unknown:
+            p.error(f"unknown config keys: {', '.join(sorted(unknown))}")
+        p.set_defaults(**bench_config)
 
     p = sub.add_parser("stats", help="cycle-structure statistics")
     p.add_argument("--m", type=_int_list, required=True)
@@ -239,6 +222,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "config", None):
+            # The config file's values become defaults, so flags still win.
+            args = build_parser(_load(args.config, _bench_config)).parse_args(argv)
         return args.func(args)
     except LatticeSwapError as exc:
         print(f"error: {exc}", file=sys.stderr)

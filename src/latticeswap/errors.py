@@ -15,6 +15,10 @@ class InvalidConfig(LatticeSwapError, ValueError):
     """A planner setting is out of range or names an unknown option."""
 
 
+class InvalidInput(LatticeSwapError):
+    """An instance or plan file is missing, is not JSON, or lacks a field."""
+
+
 class InvalidPlanStructure(LatticeSwapError):
     """A plan does not have the structure an operation requires."""
 

@@ -14,9 +14,10 @@ unresolved cell.  Such a rollout always finishes within 2m + 2 actions
 and its cost is a real completion estimate, which keeps the child
 means on the scale of actual plan costs.
 
-Rollout costs set the scale of the exploration constant: unless one is
-given, it is a tenth of the mean episode cost of the first rollouts at
-each decision point.
+Rollout costs set the scale of the exploration constant: it is a tenth
+of the mean episode cost of the first rollouts at each decision point.
+On a 1D row the acts are pruned to the span between the nearest
+held-object goals on either side of the robot.
 
 States, acts and rollouts use the scope positions of the one state
 kernel in ``search`` (``enumerate_actions`` and ``apply_action``,
@@ -41,26 +42,24 @@ from .search import Act, assign_buffers, label_actions, leg_table, scope_content
 STALL_PENALTY_OPS = 1_000_000
 CALIBRATION_ROLLOUTS = 32
 EXPLORATION_FRACTION = 0.1
+ROLLOUT_CAP_FACTOR = 4
 
 
 @dataclass(frozen=True)
 class MctsConfig:
-    """Search budget and behavior knobs.
+    """Search budget and rollout seed.
 
     ``budget`` is the number of rollouts per committed action, the main
-    quality/time dial.  ``exploration`` overrides the automatic UCB
-    scale, which otherwise settles at a tenth of the mean episode cost
-    seen in the first iterations (large enough to keep sampling
+    quality/time dial.  The UCB scale is not set here: it settles at
+    ``EXPLORATION_FRACTION`` of the mean episode cost seen in the first
+    ``CALIBRATION_ROLLOUTS`` iterations (large enough to keep sampling
     alternatives, small enough that the tree still deepens).  Rollouts
-    stop after ``rollout_cap_factor * m`` actions and charge a large
+    stop after ``ROLLOUT_CAP_FACTOR * m`` actions and charge a large
     penalty, which keeps walks that never reach the goal from looking
     acceptable.
     """
 
     budget: int = 2048
-    exploration: float | None = None
-    rollout_cap_factor: int = 4
-    range_prune: bool = True
     seed: int = 0
 
 
@@ -116,8 +115,8 @@ def plan_mcts(
     n = len(cells)
     goal = tuple(range(n))
     legs = leg_table(lattice, cells)[0]
-    range_prune = config.range_prune and lattice.ndim == 1
-    rollout_cap = config.rollout_cap_factor * lattice.m
+    range_prune = lattice.ndim == 1
+    rollout_cap = ROLLOUT_CAP_FACTOR * lattice.m
 
     def legal(state) -> list[Act]:
         pos, held, contents = state
@@ -177,14 +176,8 @@ def plan_mcts(
         if len(root.untried) == 1:
             return root.untried[0]
         calibration: list[float] = []
-        explore = config.exploration
         for _ in range(config.budget):
-            if explore is not None:
-                c_ucb = explore
-            elif calibration:
-                c_ucb = EXPLORATION_FRACTION * sum(calibration) / len(calibration)
-            else:
-                c_ucb = 0.0
+            c_ucb = EXPLORATION_FRACTION * sum(calibration) / len(calibration) if calibration else 0.0
             node = root
             path = [root]
             spent = 0.0

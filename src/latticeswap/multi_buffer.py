@@ -48,6 +48,9 @@ from .single_buffer import (
     greedy_switch_actions,
 )
 
+MERGE_EXACT_STATES = 3_000_000  # interleaving states the merge solves exactly
+MERGE_BEAM = 5_000  # states kept per stage past that
+
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -60,10 +63,10 @@ class PipelineConfig:
     and then beams, keeping ``merge_beam`` states per stage.
     """
 
-    buffer_exact_cells: int = 14
-    merge_exact_states: int = 3_000_000
-    merge_beam: int | None = 5_000
-    search_timeout_s: float = 600.0
+    buffer_exact_cells: int = SearchLimits.size_cap
+    merge_exact_states: int = MERGE_EXACT_STATES
+    merge_beam: int | None = MERGE_BEAM
+    search_timeout_s: float = SearchLimits.timeout_s
 
 
 def assign_cycles(cycles: Sequence[Cycle], k: int) -> list[tuple[int, ...]]:
@@ -140,8 +143,8 @@ def assign_cycles(cycles: Sequence[Cycle], k: int) -> list[tuple[int, ...]]:
 def merge_task_sequences(
     sequences: Sequence[Sequence[PickNSwap]],
     lattice: Lattice,
-    exact_states: int = 3_000_000,
-    beam_width: int | None = 5_000,
+    exact_states: int = MERGE_EXACT_STATES,
+    beam_width: int | None = MERGE_BEAM,
 ) -> tuple[list[PickNSwap], tuple[int, ...], float]:
     """Interleave per-buffer action sequences to minimize travel.
 
@@ -152,7 +155,8 @@ def merge_task_sequences(
     The DP is exact while (number of sequences) * prod(len + 1) stays
     within ``exact_states``; past that it keeps the ``beam_width``
     cheapest states per stage, or raises MergeStateLimit when beaming
-    is disabled.
+    is disabled.  It also raises MergeStateLimit, before any stage,
+    when the state codes below would not fit in int64.
 
     Ties are broken the same way on every path, so the result is a
     function of the inputs alone: a state keeps its cheapest
@@ -172,12 +176,12 @@ def merge_task_sequences(
 
     nseq = len(active)
     lengths = [len(seq) for _, seq in active]
-    product = math.prod(x + 1 for x in lengths)
-    if nseq * product > exact_states and beam_width is None:
-        raise MergeStateLimit(
-            f"{nseq * product} interleaving states exceed the exact cap of {exact_states}"
-        )
-    keep = None if nseq * product <= exact_states else beam_width
+    states = nseq * math.prod(x + 1 for x in lengths)
+    if states > np.iinfo(np.int64).max:
+        raise MergeStateLimit(f"{states} interleaving states overflow the int64 state codes")
+    if states > exact_states and beam_width is None:
+        raise MergeStateLimit(f"{states} interleaving states exceed the exact cap of {exact_states}")
+    keep = None if states <= exact_states else beam_width
 
     lengths_a = np.asarray(lengths, dtype=np.int64)
     radix = lengths_a + 1

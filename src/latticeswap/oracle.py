@@ -41,29 +41,32 @@ from .search import (
     scope_contents,
 )
 
+K_CAP = 6
+UNRESTRICTED_M_CAP = 8
+UNRESTRICTED_K_CAP = 2
+
 
 @dataclass(frozen=True)
-class OracleLimits:
+class OracleLimits(SearchLimits):
+    """The exact-search limits with the oracle's smaller scope cap.
+
+    ``plan_optimal`` hands these to ``min_swap_astar`` as they are; the
+    unrestricted search reads only ``timeout_s``.  The buffer and board
+    caps are constants: ``K_CAP`` buffers for ``plan_optimal``, and
+    ``UNRESTRICTED_M_CAP`` cells and ``UNRESTRICTED_K_CAP`` buffers for
+    the unrestricted search.
+    """
+
     size_cap: int = 12
-    k_cap: int = 6
-    timeout_s: float = 600.0
-    unrestricted_m_cap: int = 8
-    unrestricted_k_cap: int = 2
 
 
 def plan_optimal(
     start: Arrangement, k: int = 1, limits: OracleLimits = OracleLimits()
 ) -> Plan:
     """Cheapest-travel plan among the swap-minimal plans, k buffers."""
-    if k > limits.k_cap:
-        raise SizeLimitExceeded(f"k={k} exceeds the oracle cap of {limits.k_cap}")
-    cycles = nontrivial_cycles(start)
-    actions = min_swap_astar(
-        start.lattice,
-        cycles,
-        k,
-        SearchLimits(size_cap=limits.size_cap, timeout_s=limits.timeout_s),
-    )
+    if k > K_CAP:
+        raise SizeLimitExceeded(f"k={k} exceeds the oracle cap of {K_CAP}")
+    actions = min_swap_astar(start.lattice, nontrivial_cycles(start), k, limits)
     be = bookend(start.lattice)
     return Plan(
         (be, *actions, be),
@@ -82,14 +85,12 @@ def plan_optimal_unrestricted(
     Exponential in every direction; capped to tiny instances.
     """
     lattice = start.lattice
-    if lattice.m > limits.unrestricted_m_cap:
+    if lattice.m > UNRESTRICTED_M_CAP:
         raise SizeLimitExceeded(
-            f"m={lattice.m} exceeds the unrestricted-search cap of {limits.unrestricted_m_cap}"
+            f"m={lattice.m} exceeds the unrestricted-search cap of {UNRESTRICTED_M_CAP}"
         )
-    if k > limits.unrestricted_k_cap:
-        raise SizeLimitExceeded(
-            f"k={k} exceeds the unrestricted-search cap of {limits.unrestricted_k_cap}"
-        )
+    if k > UNRESTRICTED_K_CAP:
+        raise SizeLimitExceeded(f"k={k} exceeds the unrestricted-search cap of {UNRESTRICTED_K_CAP}")
     cells = tuple(range(1, lattice.m + 1))
     n = len(cells)
     goal = tuple(range(n))

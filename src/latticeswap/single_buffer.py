@@ -173,19 +173,19 @@ def compose_group_actions(per_group: Sequence[list[PickNSwap]]) -> list[PickNSwa
     return composed
 
 
-def plan_cycle_switching(start: Arrangement, detour_slack: float = ON_SEGMENT_SLACK) -> Plan:
+def plan_cycle_switching(start: Arrangement) -> Plan:
     """Greedy cycle-switching plan; groups are planned and spliced."""
     lattice = start.lattice
     groups = group_cycles(nontrivial_cycles(start), lattice)
-    per_group = [greedy_switch_actions(g.cycles, lattice, detour_slack) for g in groups]
+    per_group = [greedy_switch_actions(g.cycles, lattice) for g in groups]
     return bracket(compose_group_actions(per_group), lattice)
 
 
-def plan_single_buffer_2d(start: Arrangement, detour_slack: float = DETOUR_SLACK_2D) -> Plan:
+def plan_single_buffer_2d(start: Arrangement) -> Plan:
     """Greedy tour for 2D boards: nearest untouched cycle first, with
-    switching into cycles whose cells sit within a small detour."""
+    switching into cycles whose cells sit within ``DETOUR_SLACK_2D``."""
     cycles = nontrivial_cycles(start)
-    actions = greedy_switch_actions(cycles, start.lattice, detour_slack, order="nearest")
+    actions = greedy_switch_actions(cycles, start.lattice, DETOUR_SLACK_2D, order="nearest")
     return bracket(actions, start.lattice)
 
 

@@ -29,7 +29,7 @@ from latticeswap.errors import (
     MissingBaseline,
     PlanningTimeout,
 )
-from latticeswap.lattice import CycleStatistics
+from latticeswap.lattice import Arrangement, CycleStatistics
 
 
 class TestSeeds:
@@ -149,6 +149,25 @@ class TestRunCase:
         assert bad["timeout"] == 0 and bad["valid"] == 0
         assert bad["swaps"] == "" and bad["travel"] == "" and bad["total"] == ""
         assert rows[0]["valid"] == 1 and rows[2]["valid"] == 1
+
+    def test_merge_overflow_gives_one_error_row(self, monkeypatch):
+        # A 2000-cell row of eight interleaved 250-cell cycles at k = 8
+        # has more interleaving states than int64 state codes can hold.
+        def interleaved(m, seed, dims=None):
+            if m != 2000:
+                return real(m, seed, dims)
+            placement = [0] * m
+            for j in range(1, 9):
+                chain = list(range(j, m + 1, 8))
+                for i, cell in enumerate(chain):
+                    placement[cell - 1] = chain[(i + 1) % len(chain)]
+            return Arrangement.from_sequence(placement)
+
+        real = bench.random_arrangement
+        monkeypatch.setattr(bench, "random_arrangement", interleaved)
+        rows = run_sweep(sweep_cases([1], [2000, 8], [8], ["dp"], trials=1), base_seed=0, workers=1)
+        assert [r["error"] for r in rows] == ["MergeStateLimit", ""]
+        assert rows[1]["valid"] == 1
 
     def test_zero_buffers_give_error_rows(self):
         cases = sweep_cases([1], [6], [0], ALGORITHMS, trials=1, budget=16)

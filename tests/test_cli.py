@@ -87,14 +87,6 @@ class TestPlanEvalRoundTrip:
         report = json.loads(captured.err)
         assert report["swaps"] >= 0
 
-    def test_no_range_prune_flag(self, instance_path, tmp_path, capsys):
-        plan_path = tmp_path / "plan.json"
-        code = run(
-            "plan", "-i", instance_path, "--algo", "mcts", "--budget", "64",
-            "--no-range-prune", "-o", str(plan_path),
-        )
-        assert code == 0
-
     def test_eval_rejects_corrupt_plan(self, instance_path, tmp_path, capsys):
         plan_path = tmp_path / "plan.json"
         run("plan", "-i", instance_path, "--algo", "switch", "-o", str(plan_path))
@@ -149,6 +141,19 @@ class TestBenchCommand:
         with open(out, newline="") as fh:
             assert len(list(csv.DictReader(fh))) == 4
 
+    def test_config_takes_int_and_str_forms(self, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps({
+            "dim": 1, "m": "6,7", "k": 2, "algo": "switch,follow", "trials": 1, "out": str(out),
+        }))
+        assert run("bench", "--config", str(config)) == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["m"], r["k"], r["algo"]) for r in rows] == [
+            ("6", "2", "switch"), ("6", "2", "follow"), ("7", "2", "switch"), ("7", "2", "follow"),
+        ]
+
     def test_flags_override_config(self, tmp_path, capsys):
         out = tmp_path / "r.csv"
         over = tmp_path / "override.csv"
@@ -166,6 +171,12 @@ class TestBenchCommand:
         config.write_text(json.dumps({"m": [6], "algo": "switch", "out": "x.csv", "budgett": 9}))
         with pytest.raises(SystemExit):
             run("bench", "--config", str(config))
+
+    def test_config_that_is_not_an_object_exits_two(self, tmp_path, capsys):
+        config = tmp_path / "sweep.json"
+        config.write_text("[6]")
+        assert run("bench", "--config", str(config)) == 2
+        assert "JSON object" in capsys.readouterr().err
 
     def test_missing_required_options(self):
         with pytest.raises(SystemExit):
@@ -215,6 +226,38 @@ class TestErrorPaths:
         code = run("plan", "-i", str(inst), "--algo", "opt")
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dims, placement", [([9], [2, 1, 3, 4, 5, 6, 7, 8, 9]), ([3, 3], [2, 1, 3, 4, 5, 6, 7, 8, 9])])
+    def test_eval_off_board_cell_is_invalid(self, dims, placement, tmp_path, capsys):
+        inst = tmp_path / "inst.json"
+        inst.write_text(json.dumps({"dims": dims, "placement": placement, "k": 1}))
+        plan = tmp_path / "plan.json"
+        cells = [1, 99, 2, 1, 1]
+        plan.write_text(json.dumps([{"index": i, "cell": c} for i, c in enumerate(cells)]))
+        assert run("eval", "-i", str(inst), "-p", str(plan)) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report == {"valid": False, "reason": "cell 99 outside the lattice", "failed_index": 1}
+
+    @pytest.mark.parametrize("broken", ["instance", "plan", "missing"])
+    def test_unreadable_input_exits_two(self, broken, instance_path, tmp_path, capsys):
+        plan = tmp_path / "plan.json"
+        run("plan", "-i", instance_path, "--algo", "switch", "-o", str(plan))
+        capsys.readouterr()
+        if broken == "instance":
+            data = json.loads(open(instance_path).read())
+            del data["placement"]
+            instance_path = tmp_path / "bare.json"
+            instance_path.write_text(json.dumps(data))
+        elif broken == "plan":
+            records = json.loads(plan.read_text())
+            del records[1]["cell"]
+            plan.write_text(json.dumps(records))
+        else:
+            plan = tmp_path / "absent.json"
+        assert run("eval", "-i", str(instance_path), "-p", str(plan)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert {"instance": "'placement'", "plan": "'cell'", "missing": "absent.json"}[broken] in err
 
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit):

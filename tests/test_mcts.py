@@ -108,12 +108,6 @@ class TestPlanMcts:
         cfg = MctsConfig(budget=64, seed=9)
         assert plan_mcts(arr, config=cfg).actions == plan_mcts(arr, config=cfg).actions
 
-    def test_range_prune_off_still_valid(self):
-        arr = random_arrangement(8, 6)
-        cfg = MctsConfig(budget=128, seed=2, range_prune=False)
-        plan = plan_mcts(arr, k=2, config=cfg)
-        assert simulate(plan, arr, k=2).valid
-
     def test_zero_buffers_rejected(self):
         with pytest.raises(InvalidConfig):
             plan_mcts(random_arrangement(5, 0), k=0)

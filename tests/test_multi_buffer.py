@@ -18,6 +18,7 @@ from latticeswap.lattice import (
     random_arrangement,
 )
 from latticeswap.multi_buffer import (
+    MERGE_BEAM,
     PipelineConfig,
     assign_cycles,
     merge_task_sequences,
@@ -178,6 +179,16 @@ class TestMergeSequences:
         sequences = [[visit(c) for c in (1, 2, 3)] for _ in range(3)]
         with pytest.raises(MergeStateLimit):
             merge_task_sequences(sequences, lat, exact_states=10, beam_width=None)
+
+    @pytest.mark.parametrize("beam_width", [MERGE_BEAM, None])
+    def test_state_codes_past_int64_rejected(self, beam_width):
+        # Eight 250-action sequences: 8 * 251**8 states, over 2**63, so
+        # the packed state codes would wrap.  The guard fires before any
+        # stage runs.
+        lat = Lattice((2000,))
+        sequences = [[visit(c) for c in range(j, 2001, 8)] for j in range(1, 9)]
+        with pytest.raises(MergeStateLimit, match="int64"):
+            merge_task_sequences(sequences, lat, beam_width=beam_width)
 
 
 class TestPipeline:
