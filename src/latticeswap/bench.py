@@ -22,14 +22,7 @@ from dataclasses import dataclass
 from hashlib import blake2b
 from typing import Callable, Iterable, Sequence
 
-from .errors import (
-    InvalidConfig,
-    LatticeSwapError,
-    MergeStateLimit,
-    MissingBaseline,
-    PlanningTimeout,
-    SizeLimitExceeded,
-)
+from .errors import InvalidConfig, LatticeSwapError, MissingBaseline, PlanningTimeout
 from .lattice import cycle_statistics, random_arrangement, CycleStatistics
 from .mcts import MctsConfig, plan_mcts
 from .multi_buffer import PipelineConfig, plan_multi_buffer_dp
@@ -215,10 +208,11 @@ def run_case(case: BenchCase, base_seed: int) -> dict:
             instance, case.algo, cp=case.cp, ct=case.ct, timeout_s=case.timeout_s,
             budget=case.budget, seed=seed_mcts,
         )
-    except (PlanningTimeout, SizeLimitExceeded, MergeStateLimit) as exc:
+    except PlanningTimeout as exc:
         row["error"] = type(exc).__name__
     except LatticeSwapError as exc:
-        # Any other package error spoils this case only, not the sweep.
+        # Any other package error, a size refusal included, spoils this
+        # case only, not the sweep; it is not a timeout.
         row.update(timeout=0, error=type(exc).__name__)
     wall = time.perf_counter() - begin
     row["wall_ms"] = int(round(wall * 1000))

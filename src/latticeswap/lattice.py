@@ -110,6 +110,24 @@ def coordinate_table(dims: tuple[int, int]) -> tuple[list[int], list[int]]:
     return rows, cols
 
 
+@lru_cache(maxsize=None)
+def offset_table(dims: tuple[int, ...]) -> list[float]:
+    """:meth:`Lattice.distance` for every offset between two cells.
+
+    Entry ``(dr + nrows - 1) * W + (dc + ncols - 1)`` holds the length
+    of the row and column offset (dr, dc), where ``W = 2 * ncols - 1``;
+    a 1D lattice of m cells is read as m rows of one column.  The
+    values are computed as ``distance`` computes them, so a leg looked
+    up here equals ``distance`` to the last bit.  The table has
+    ``(2 * nrows - 1) * (2 * ncols - 1)`` entries and is symmetric about
+    its middle one, the zero offset.  Computed once per dims.
+    """
+    if len(dims) == 1:
+        return [float(abs(d)) for d in range(1 - dims[0], dims[0])]
+    nrows, ncols = dims
+    return [math.hypot(dr, dc) for dr in range(1 - nrows, nrows) for dc in range(1 - ncols, ncols)]
+
+
 @dataclass(frozen=True)
 class Arrangement:
     """An assignment of the objects 1..m to the cells of a lattice."""

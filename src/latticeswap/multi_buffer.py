@@ -17,9 +17,21 @@ buffer over those runs (ties to the smallest previous mover) and one
 stable argsort to put the successors back in code order; nothing is
 sorted by cost.  The state count grows as the product of the sequence
 lengths, so past a configurable size the DP switches to a beam: each
-stage keeps only its cheapest states, ties to the smaller code.  The
-beamed result is never worse than running the sequences back to back,
-since that baseline is checked explicitly.
+stage keeps only its cheapest states, ties to the smaller code.  A
+beamed stage picks its cheapest successors before the code sort, so
+only the kept ones are sorted.  The beamed result is never worse than
+running the sequences back to back, since that baseline is checked
+explicitly.
+
+Every leg, from rest, between two stops or home, is one lookup in the
+lattice's :func:`~latticeswap.lattice.offset_table` by the difference of
+two integer cell keys, so legs equal ``Lattice.distance`` to the last
+bit and the returned travel is the tour length of the returned plan.
+Each sequence's row of cells is padded with at least one rest slot: a
+finished sequence's next slot is then a rest slot in its own row, no
+per-stage clip is needed, and its successors are dropped by progress.
+numpy is imported on the first merge of two or more sequences, so
+planners that never merge do not load it.
 """
 
 from __future__ import annotations
@@ -28,16 +40,14 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .errors import InvalidConfig, MergeStateLimit
 from .lattice import (
     Arrangement,
     Cycle,
     Lattice,
-    coordinate_table,
     group_cycles,
     nontrivial_cycles,
+    offset_table,
 )
 from .plan import PickNSwap, Plan, bookend, sequence_travel
 from .search import SearchLimits
@@ -174,6 +184,8 @@ def merge_task_sequences(
         label, seq = active[0]
         return seq, (label,) * len(seq), sequence_travel(seq, lattice)
 
+    import numpy as np
+
     nseq = len(active)
     lengths = [len(seq) for _, seq in active]
     states = nseq * math.prod(x + 1 for x in lengths)
@@ -186,27 +198,30 @@ def merge_task_sequences(
     lengths_a = np.asarray(lengths, dtype=np.int64)
     radix = lengths_a + 1
     stride = np.cumprod(np.concatenate(([1], radix[:-1])))
-    cells = np.full((nseq, int(lengths_a.max())), lattice.rest, dtype=np.int64)
+    # One slot per action plus at least one rest slot per row, so a
+    # finished sequence's next slot is a rest slot inside its own row.
+    cells = np.full((nseq, int(lengths_a.max()) + 1), lattice.rest, dtype=np.int64)
     for b, (_, seq) in enumerate(active):
         cells[b, : len(seq)] = [a.cell for a in seq]
-    if lattice.ndim == 1:
-        row_of, col_of = np.arange(lattice.m + 1, dtype=float), np.zeros(lattice.m + 1)
-    else:
-        row_of, col_of = (np.asarray(t, dtype=float) for t in coordinate_table(lattice.dims))
-    rows, cols = row_of[cells].ravel(), col_of[cells].ravel()
-    rest_r, rest_c = row_of[lattice.rest], col_of[lattice.rest]
+    # Every leg is one lookup: with a slot's key row * (2 * ncols - 1) +
+    # col, the leg from slot a to slot b is leg[center + key[a] - key[b]].
+    # The rest cell has key 0.
+    ncols = lattice.dims[-1] if lattice.ndim > 1 else 1
+    row, col = np.divmod(cells.ravel() - 1, ncols)
+    key = row * (2 * ncols - 1) + col
+    leg = np.asarray(offset_table(lattice.dims))
+    center = len(leg) // 2
 
     # Stage s holds every reachable state after s actions, encoded as
     # last-mover + nseq * (mixed-radix progress vector) and kept sorted
     # by code, so the states sharing a progress vector are adjacent.
-    # ``at`` is the flat index into rows/cols of each state's robot cell.
+    # ``pos`` is center + the key of each state's robot cell.
     buffers = np.arange(nseq)[:, None]
     stride_c, radix_c, full = stride[:, None], radix[:, None], lengths_a[:, None]
     row_base = buffers * cells.shape[1]
-    row_end = row_base + full - 1
     codes = np.arange(nseq, dtype=np.int64) + nseq * stride
-    at = row_base[:, 0]
-    costs = np.hypot(rest_r - rows[at], rest_c - cols[at])
+    pos = center + key[row_base[:, 0]]
+    costs = leg[pos]
     records = [(codes, np.full(nseq, -1, dtype=np.int8))]
 
     total_stages = int(lengths_a.sum())
@@ -216,32 +231,40 @@ def merge_task_sequences(
         # Buffer b takes every state of progress p to (p + e_b, b), so
         # the states of one progress group compete for one successor
         # per buffer: keep the cheapest, ties to the smallest mover.
-        # Rows of finished buffers are clipped here and dropped below.
+        # Its next slot depends on the group alone; a finished buffer's
+        # is a rest slot, and its successors are dropped below.
         head = np.ones(n, dtype=bool)
         np.not_equal(progress[1:], progress[:-1], out=head[1:])
+        group = np.cumsum(head) - 1
         starts = np.flatnonzero(head)
-        digits = progress // stride_c % radix_c
-        nxt = np.minimum(row_base + digits, row_end)
-        w = costs + np.hypot(rows[at] - rows[nxt], cols[at] - cols[nxt])
+        ahead = progress[starts]
+        digits = ahead // stride_c % radix_c
+        nxt = key[row_base + digits]
+        w = costs + leg[pos - nxt[:, group]]
         best = np.minimum.reduceat(w, starts, axis=1)
-        tied = np.where(w == best[:, np.cumsum(head) - 1], last, nseq)
-        pred = np.minimum.reduceat(tied, starts, axis=1)
-        succ = nseq * (progress[starts] + stride_c) + buffers
-        kept = np.flatnonzero(digits[:, starts] < full)
-        kept = kept[np.argsort(succ.ravel()[kept], kind="stable")]
-        codes = succ.ravel()[kept]
-        costs = best.ravel()[kept]
-        preds = pred.ravel()[kept].astype(np.int8)
-        at = nxt[:, starts].ravel()[kept]
-        if keep is not None and len(codes) > keep:
-            # The keep cheapest states, ties to the smaller code.
-            thr = np.partition(costs, keep - 1)[keep - 1]
-            sel = costs < thr
-            sel[np.flatnonzero(costs == thr)[: keep - np.count_nonzero(sel)]] = True
-            codes, costs, preds, at = codes[sel], costs[sel], preds[sel], at[sel]
-        records.append((codes, preds))
+        tied = np.where(w == best[:, group], last, nseq)
+        pred = np.minimum.reduceat(tied, starts, axis=1).ravel()
+        best = best.ravel()
+        succ = (nseq * (ahead + stride_c) + buffers).ravel()
+        kept = np.flatnonzero(digits < full)
+        if keep is not None and len(kept) > keep:
+            # The keep cheapest successors, ties to the smaller code.
+            cand = best[kept]
+            thr = np.partition(cand, keep - 1)[keep - 1]
+            sel = cand < thr
+            ties = np.flatnonzero(cand == thr)
+            need = keep - np.count_nonzero(sel)
+            if len(ties) > need:
+                ties = ties[np.argsort(succ[kept[ties]], kind="stable")[:need]]
+            sel[ties] = True
+            kept = kept[sel]
+        kept = kept[np.argsort(succ[kept], kind="stable")]
+        codes = succ[kept]
+        costs = best[kept]
+        records.append((codes, pred[kept].astype(np.int8)))
+        pos = center + nxt.ravel()[kept]
 
-    totals = costs + np.hypot(rows[at] - rest_r, cols[at] - rest_c)
+    totals = costs + leg[pos]
     pick = int(np.argmin(totals))
     travel = float(totals[pick])
 

@@ -21,7 +21,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .errors import InvalidPlanStructure
+from .errors import InvalidInput, InvalidPlanStructure
 from .lattice import EMPTY, Arrangement, Lattice
 
 
@@ -82,7 +82,10 @@ class Plan:
 
     @classmethod
     def from_records(cls, records: Sequence[Mapping]) -> "Plan":
+        """A plan from its records, in any order; their indices must be 0..n-1."""
         recs = sorted(records, key=lambda r: r["index"])
+        if [r["index"] for r in recs] != list(range(len(recs))):
+            raise InvalidInput(f"plan record indices must be exactly 0..{len(recs) - 1}")
         actions = tuple(
             PickNSwap(int(r["cell"]), int(r.get("deposit", EMPTY)), int(r.get("pick", EMPTY)))
             for r in recs

@@ -167,7 +167,15 @@ class TestRunCase:
         monkeypatch.setattr(bench, "random_arrangement", interleaved)
         rows = run_sweep(sweep_cases([1], [2000, 8], [8], ["dp"], trials=1), base_seed=0, workers=1)
         assert [r["error"] for r in rows] == ["MergeStateLimit", ""]
+        assert rows[0]["timeout"] == 0 and rows[0]["valid"] == 0
         assert rows[1]["valid"] == 1
+
+    def test_size_refusal_is_not_a_timeout(self):
+        # 14 cells are over the oracle's size cap: refused at once.
+        row = run_case(BenchCase(1, 14, 1, "opt", trial=0), base_seed=3)
+        assert row["error"] == "SizeLimitExceeded"
+        assert row["timeout"] == 0 and row["valid"] == 0
+        assert row["swaps"] == "" and row["travel"] == "" and row["total"] == ""
 
     def test_zero_buffers_give_error_rows(self):
         cases = sweep_cases([1], [6], [0], ALGORITHMS, trials=1, budget=16)

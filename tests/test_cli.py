@@ -127,6 +127,14 @@ class TestBenchCommand:
             errors = [r["error"] for r in csv.DictReader(fh)]
         assert sorted(errors) == ["", "", "InvalidConfig", "InvalidConfig"]
 
+    def test_size_refusals_are_error_rows_not_timeouts(self, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        assert run("bench", "--m", "14", "--algo", "opt", "--workers", "1", "-o", str(out)) == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows
+        assert {(r["timeout"], r["error"]) for r in rows} == {("0", "SizeLimitExceeded")}
+
     def test_config_file_supplies_options(self, tmp_path, capsys):
         out = tmp_path / "r.csv"
         config = tmp_path / "sweep.json"
@@ -237,6 +245,21 @@ class TestErrorPaths:
         assert run("eval", "-i", str(inst), "-p", str(plan)) == 1
         report = json.loads(capsys.readouterr().out)
         assert report == {"valid": False, "reason": "cell 99 outside the lattice", "failed_index": 1}
+
+    def test_eval_rejects_gapped_plan_indices(self, tmp_path, capsys):
+        inst = tmp_path / "inst.json"
+        inst.write_text(json.dumps({"dims": [3], "placement": [2, 1, 3], "k": 1}))
+        plan = tmp_path / "plan.json"
+        actions = [(1, 0, 0), (1, 0, 2), (2, 2, 1), (1, 1, 0), (1, 0, 0)]
+        records = [
+            {"index": i, "cell": c, "deposit": d, "pick": p}
+            for i, (c, d, p) in zip((0, 7, 7, 9, 40), actions)
+        ]
+        plan.write_text(json.dumps(records))
+        assert run("eval", "-i", str(inst), "-p", str(plan)) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "0..4" in captured.err
+        assert "valid" not in captured.out
 
     @pytest.mark.parametrize("broken", ["instance", "plan", "missing"])
     def test_unreadable_input_exits_two(self, broken, instance_path, tmp_path, capsys):

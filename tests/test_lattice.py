@@ -14,6 +14,7 @@ from latticeswap.lattice import (
     decompose_cycles,
     group_cycles,
     nontrivial_cycles,
+    offset_table,
     random_arrangement,
     resident_map,
     sample_cycle_sizes,
@@ -73,6 +74,26 @@ class TestLattice:
         assert coordinate_table(a.dims) is coordinate_table(b.dims)
         # the table lives in the shared cache, not on the lattice
         assert vars(a) == {"dims": (7, 9)}
+
+    @pytest.mark.parametrize("dims", [(1, 5), (5, 1), (3, 4), (30, 30), (7,)])
+    def test_offset_table_equals_distance_on_every_pair(self, dims):
+        lat = Lattice(dims)
+        table = offset_table(dims)
+        nrows, ncols = (dims[0], 1) if len(dims) == 1 else dims
+        assert len(table) == (2 * nrows - 1) * (2 * ncols - 1)
+        width = 2 * ncols - 1
+
+        def key(cell):
+            row, col = divmod(cell - 1, ncols)
+            return row * width + col
+
+        center = len(table) // 2
+        for a in range(1, lat.m + 1):
+            for b in range(1, lat.m + 1):
+                assert table[center + key(a) - key(b)] == lat.distance(a, b)
+
+    def test_offset_table_shared_per_dims(self):
+        assert offset_table((7, 9)) is offset_table((7, 9))
 
     def test_rest_is_first_cell(self):
         assert Lattice((4, 4)).rest == 1

@@ -1,12 +1,18 @@
 """Buffer assignment, sequence interleaving, and the k-buffer pipeline."""
 
 import math
+import os
 import random
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import latticeswap
 from latticeswap.errors import InvalidConfig, MergeStateLimit
 from latticeswap.lattice import (
     EMPTY,
@@ -162,6 +168,55 @@ class TestMergeSequences:
         )
         assert (merged, labels, travel) == reference_merge(sequences, lat, keep=width)
 
+    # Boards with offsets of 17 and more, where a leg computed apart
+    # from Lattice.distance can differ from it in the last bit.
+    board_sequences = st.sampled_from([(30, 30), (5, 40)]).flatmap(
+        lambda dims: st.tuples(
+            st.just(dims),
+            st.lists(
+                st.lists(st.integers(min_value=1, max_value=math.prod(dims)), max_size=5),
+                min_size=1,
+                max_size=4,
+            ),
+        )
+    )
+
+    @given(board_sequences, st.one_of(st.none(), st.integers(min_value=1, max_value=20)))
+    @settings(max_examples=100, deadline=None)
+    def test_merge_on_2d_boards_matches_reference(self, case, width):
+        dims, cell_lists = case
+        lat = Lattice(dims)
+        sequences = [[visit(c) for c in cells] for cells in cell_lists]
+        if width is None:
+            got = merge_task_sequences(sequences, lat)
+        else:
+            got = merge_task_sequences(sequences, lat, exact_states=1, beam_width=width)
+        assert got == reference_merge(sequences, lat, keep=width)
+
+    def test_travel_is_the_tour_of_the_merged_plan(self):
+        # Offsets (17, 27): a hypot computed apart from Lattice.distance
+        # gave 63.81222453417527 here, one bit off the plan's own tour.
+        lat = Lattice((30, 30))
+        sequences = [[visit(538)], [visit(538)]]
+        merged, labels, travel = merge_task_sequences(sequences, lat)
+        assert travel == sequence_travel(merged, lat) == 63.812224534175265
+        assert (merged, labels, travel) == reference_merge(sequences, lat)
+
+    def test_long_row_needs_no_table_per_slot_pair(self):
+        # Two short sequences 20 000 cells apart: the leg table grows
+        # with the board (about 2m floats), not with the square of it.
+        lat = Lattice((20000,))
+        sequences = [[visit(c) for c in (1, 2, 3)], [visit(c) for c in (19998, 19999, 20000)]]
+        tracemalloc.start()
+        try:
+            merged, labels, travel = merge_task_sequences(sequences, lat)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 1024 * 1024
+        assert travel == sequence_travel(merged, lat) == 2 * 19999
+        assert (merged, labels, travel) == reference_merge(sequences, lat)
+
     def test_beam_as_wide_as_the_states_is_exact(self):
         rng = random.Random(7)
         lat = Lattice((5, 6))
@@ -268,3 +323,15 @@ class TestPipeline:
     def test_rejects_zero_buffers(self):
         with pytest.raises(InvalidConfig):
             plan_multi_buffer_dp(random_arrangement(5, 0), k=0)
+
+
+def test_package_import_does_not_load_numpy():
+    # Only the interleaving merge uses numpy, and it imports it on its
+    # first call, so planners that never merge do not pay for it.
+    src = str(Path(latticeswap.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, latticeswap; print('numpy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True, timeout=60
+    )
+    assert out.stdout.strip() == "False"

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latticeswap.errors import InvalidInput
 from latticeswap.lattice import EMPTY, Arrangement, Lattice, random_arrangement
 from latticeswap.plan import (
     CostParams,
@@ -164,6 +165,15 @@ class TestSerialization:
         again = Plan.from_json(plan.to_json())
         assert again.actions == plan.actions
         assert again.buffer_of == plan.buffer_of
+
+    def test_records_in_any_order_but_indexed_0_to_n_minus_1(self):
+        plan = bracket([PickNSwap(2, EMPTY, 1), PickNSwap(1, 1, 2)], Lattice((2,)))
+        records = plan.records()
+        assert Plan.from_records(records[::-1]).actions == plan.actions
+        for indices in ((0, 7, 7, 9), (1, 2, 3, 4), (0, 1, 1, 3), (-1, 0, 1, 2)):
+            bad = [dict(r, index=i) for r, i in zip(records, indices)]
+            with pytest.raises(InvalidInput):
+                Plan.from_records(bad)
 
     def test_instance_json_fields(self):
         arr = random_arrangement(6, 3, (2, 3))
