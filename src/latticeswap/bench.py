@@ -48,8 +48,8 @@ PLANNERS: dict[str, Callable[..., Plan]] = {
     "dp": lambda arr, k, timeout_s, **_: plan_multi_buffer_dp(
         arr, k, PipelineConfig(search_timeout_s=timeout_s)
     ),
-    "mcts": lambda arr, k, cp, ct, budget, seed, **_: plan_mcts(
-        arr, k, CostParams(cp, ct), MctsConfig(budget=budget, seed=seed)
+    "mcts": lambda arr, k, cp, ct, timeout_s, budget, seed, **_: plan_mcts(
+        arr, k, CostParams(cp, ct), MctsConfig(budget=budget, seed=seed), timeout_s
     ),
     "opt": lambda arr, k, timeout_s, **_: plan_optimal(arr, k, OracleLimits(timeout_s=timeout_s)),
 }
@@ -159,10 +159,11 @@ def plan_instance(
 ) -> Plan:
     """Plan an instance with the registered planner ``algo``.
 
-    ``timeout_s`` bounds the searches of ``exact``, ``dp`` and ``opt``;
-    ``cp``/``ct``, ``budget`` and ``seed`` configure ``mcts``.  The
-    other planners take no settings.  Every planner needs at least one
-    buffer, including those that use just one.
+    ``timeout_s`` bounds the searches of ``exact``, ``dp`` and ``opt``
+    and the whole of ``mcts``; ``cp``/``ct``, ``budget`` and ``seed``
+    configure ``mcts``.  The other planners take no settings.  Every
+    planner needs at least one buffer, including those that use just
+    one.
     """
     if algo not in PLANNERS:
         raise InvalidConfig(f"unknown algorithm {algo!r}; choose from {ALGORITHMS}")

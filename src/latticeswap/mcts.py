@@ -6,13 +6,20 @@ it grows a search tree from the current state with UCB selection
 (cost-minimizing, so the bound subtracts the exploration term), scores
 leaves by rollouts, and commits the child with the lowest mean total
 cost.  Backups store the full episode cost from the decision root, and
-the tree is rebuilt from scratch after every commitment.
+the tree is rebuilt from scratch after every commitment.  A node's
+action list is built on its first selection, not when the node is
+created: most nodes are leaves that one rollout scores and no later
+iteration selects again, so they never list their actions.
 
 The rollout policy places some held object at its goal whenever the
 hand is non-empty and otherwise picks from a uniformly random
-unresolved cell.  Such a rollout always finishes within 2m + 2 actions
-and its cost is a real completion estimate, which keeps the child
-means on the scale of actual plan costs.
+unresolved cell.  Such a rollout always finishes within 2m + 2
+actions and its cost is a real completion estimate, which keeps the
+child means on the scale of actual plan costs.  The kernel keeps as
+many empty cells as objects in hand: a pick into a free slot adds one
+to each count, a deposit into an empty cell takes one from each, and
+every other act leaves both alone.  So with the hand empty every
+unresolved cell holds an object, and the draw needs no filter.
 
 Rollout costs set the scale of the exploration constant: it is a tenth
 of the mean episode cost of the first rollouts at each decision point.
@@ -22,22 +29,28 @@ held-object goals on either side of the robot.
 States, acts and rollouts use the scope positions of the one state
 kernel in ``search`` (``enumerate_actions`` and ``apply_action``,
 reached through ``oracle``); acts become cell labels once, when the
-plan is returned.  Every leg the search prices is read from the leg
-table of ``search.leg_table``, computed once per plan.
+plan is returned.  Every step the search prices, in the tree and in
+rollouts, reads one table ``cost_of[p][q] = c_p + c_t * legs[p][q]``
+built once per plan from the leg table of ``search.leg_table``.
+
+``timeout_s`` bounds the whole plan: one monotonic deadline is checked
+once per search iteration, and on expiry ``PlanningTimeout`` is raised
+with no partial plan.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+import time
+from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InvalidConfig, PlanningTimeout
 from .lattice import Arrangement, nontrivial_cycles, resident_map
 from .oracle import apply_action, enumerate_actions
 from .plan import CostParams, Plan, bookend
-from .search import Act, assign_buffers, label_actions, leg_table, scope_contents
+from .search import Act, SearchLimits, assign_buffers, label_actions, leg_table, scope_contents
 
 STALL_PENALTY_OPS = 1_000_000
 CALIBRATION_ROLLOUTS = 32
@@ -63,17 +76,20 @@ class MctsConfig:
     seed: int = 0
 
 
-@dataclass
 class _Node:
-    state: tuple
-    untried: list[Act]
-    children: list[tuple[Act, float, "_Node"]] = field(default_factory=list)
-    visits: int = 0
-    cost_sum: float = 0.0
+    """A search-tree node.  ``untried`` is ``None`` until the node is
+    first selected; then it holds the acts not yet expanded."""
 
-    @property
-    def mean(self) -> float:
-        return self.cost_sum / self.visits
+    __slots__ = ("state", "untried", "children", "visits", "cost_sum")
+
+    def __init__(
+        self, state: tuple, untried: list[Act] | None, visits: int = 0, cost_sum: float = 0.0
+    ):
+        self.state = state
+        self.untried = untried
+        self.children: list[tuple[Act, float, _Node]] = []
+        self.visits = visits
+        self.cost_sum = cost_sum
 
 
 def ucb_choice(
@@ -82,16 +98,18 @@ def ucb_choice(
     """Child with the best mean-minus-exploration score.
 
     Costs are minimized, so the exploration bonus is subtracted; ties
-    fall to the smallest cell position.
+    fall to the smallest cell position, then to the earlier child.  At
+    ``c_ucb = 0`` the score is the mean.
     """
     log_n = math.log(parent_visits)
-    return min(
-        children,
-        key=lambda entry: (
-            entry[2].mean - c_ucb * math.sqrt(log_n / entry[2].visits),
-            entry[0][0],
-        ),
-    )
+    best = children[0]
+    best_score = math.inf
+    for entry in children:
+        node = entry[2]
+        score = node.cost_sum / node.visits - c_ucb * math.sqrt(log_n / node.visits)
+        if score < best_score or (score == best_score and entry[0][0] < best[0][0]):
+            best, best_score = entry, score
+    return best
 
 
 def plan_mcts(
@@ -99,11 +117,17 @@ def plan_mcts(
     k: int = 1,
     params: CostParams = CostParams(),
     config: MctsConfig = MctsConfig(),
+    timeout_s: float = SearchLimits.timeout_s,
 ) -> Plan:
+    """Commit one tree-searched action at a time until the goal.
+
+    Raises ``PlanningTimeout`` once the plan outlives ``timeout_s``.
+    """
     if k < 1:
         raise InvalidConfig(f"need at least one buffer, got k={k}")
     if config.budget < 1:
         raise InvalidConfig(f"budget must be at least one rollout, got {config.budget}")
+    deadline = time.monotonic() + timeout_s
     lattice = start.lattice
     rng = random.Random(config.seed)
     cycles = nontrivial_cycles(start)
@@ -115,6 +139,8 @@ def plan_mcts(
     n = len(cells)
     goal = tuple(range(n))
     legs = leg_table(lattice, cells)[0]
+    c_p, c_t = params.c_p, params.c_t
+    cost_of = [[c_p + c_t * leg for leg in row] for row in legs]
     range_prune = lattice.ndim == 1
     rollout_cap = ROLLOUT_CAP_FACTOR * lattice.m
 
@@ -128,14 +154,16 @@ def plan_mcts(
     def step(state, action) -> tuple[tuple, float]:
         pos, held, contents = state
         nc, nh = apply_action(contents, held, action, n)
-        return (action[0], nh, nc), params.c_p + params.c_t * legs[pos][action[0]]
+        return (action[0], nh, nc), cost_of[pos][action[0]]
 
     def terminal(state) -> bool:
         return state[2] == goal and not state[1]
 
     def rollout(state) -> float:
         """Place-first completion: deposit a held object at its goal,
-        or pick from a random unresolved cell when empty-handed."""
+        or pick from a random unresolved cell when empty-handed.  With
+        the hand empty no cell is empty, so every unresolved cell can
+        be picked."""
         pos, held, contents = state
         content = list(contents)
         hand = list(held)
@@ -143,27 +171,26 @@ def plan_mcts(
         cost = 0.0
         for _ in range(rollout_cap):
             if hand:
-                target = hand[rng.randrange(len(hand))] if len(hand) > 1 else hand[0]
+                target = rng.choice(hand) if len(hand) > 1 else hand[0]
                 picked = content[target]
                 content[target] = target
                 hand.remove(target)
                 if picked != n:
                     hand.append(picked)
                 open_cells.remove(target)
-                cost += params.c_p + params.c_t * legs[pos][target]
+                cost += cost_of[pos][target]
                 pos = target
             elif open_cells:
-                pickable = [i for i in open_cells if content[i] != n]
-                at = pickable[rng.randrange(len(pickable))]
+                at = rng.choice(open_cells)
                 hand.append(content[at])
                 content[at] = n
-                cost += params.c_p + params.c_t * legs[pos][at]
+                cost += cost_of[pos][at]
                 pos = at
             else:
-                return cost + params.c_t * legs[pos][n]
+                return cost + c_t * legs[pos][n]
         if not hand and not open_cells:
-            return cost + params.c_t * legs[pos][n]
-        return cost + STALL_PENALTY_OPS * params.c_p
+            return cost + c_t * legs[pos][n]
+        return cost + STALL_PENALTY_OPS * c_p
 
     def decide(root_state, seen: set) -> Act:
         options = legal(root_state)
@@ -177,31 +204,36 @@ def plan_mcts(
             return root.untried[0]
         calibration: list[float] = []
         for _ in range(config.budget):
+            if time.monotonic() > deadline:
+                raise PlanningTimeout(f"tree search gave up after {timeout_s:g}s")
             c_ucb = EXPLORATION_FRACTION * sum(calibration) / len(calibration) if calibration else 0.0
             node = root
             path = [root]
             spent = 0.0
-            while not node.untried and node.children:
+            while True:
+                if node.untried is None:
+                    node.untried = [] if terminal(node.state) else legal(node.state)
+                if node.untried or not node.children:
+                    break
                 _, edge, node = ucb_choice(node.children, node.visits, c_ucb)
                 path.append(node)
                 spent += edge
             if node.untried:
                 action = node.untried.pop(0)
                 child_state, edge = step(node.state, action)
-                child = _Node(child_state, [] if terminal(child_state) else legal(child_state))
+                child = _Node(child_state, None)
                 node.children.append((action, edge, child))
                 path.append(child)
                 spent += edge
                 node = child
-            tail = params.c_t * legs[node.state[0]][n] if terminal(node.state) else rollout(node.state)
+            tail = c_t * legs[node.state[0]][n] if terminal(node.state) else rollout(node.state)
             total = spent + tail
             if len(calibration) < CALIBRATION_ROLLOUTS:
                 calibration.append(total)
             for visited in path:
                 visited.visits += 1
                 visited.cost_sum += total
-        action, _, _ = min(root.children, key=lambda entry: (entry[2].mean, entry[0][0]))
-        return action
+        return ucb_choice(root.children, root.visits, 0.0)[0]
 
     state = (n, (), scope_contents(cells, resident_map(cycles)))
     actions: list[Act] = []

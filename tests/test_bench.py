@@ -128,6 +128,17 @@ class TestRunCase:
             assert row["timeout"] == 1 and row["error"] == error
             assert row["wall_ms"] >= 200
 
+    def test_mcts_row_ends_at_its_limit(self):
+        # At its default 2048 rollouts per commit this case plans for
+        # about 10 s.  The deadline is checked once per search iteration;
+        # on a shared 2-core box the row ended 0-1 ms past the limit.
+        # The slack leaves room for a loaded machine.
+        limit, slack = 0.5, 0.25
+        row = run_case(BenchCase(1, 40, 2, "mcts", trial=0, timeout_s=limit), base_seed=7)
+        assert row["timeout"] == 1 and row["error"] == "PlanningTimeout"
+        assert row["valid"] == 0 and row["total"] == ""
+        assert limit * 1000 <= row["wall_ms"] <= (limit + slack) * 1000
+
     def test_valid_row_has_no_error(self):
         row = run_case(BenchCase(1, 7, 1, "switch", trial=0), base_seed=3)
         assert row["error"] == ""

@@ -1,4 +1,6 @@
-"""Exact swap-minimal search plus the buffer slot labeling helper."""
+"""Exact swap-minimal search, the state kernel and the buffer slot labeling helper."""
+
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,14 @@ from latticeswap.lattice import (
     resident_map,
 )
 from latticeswap.plan import PickNSwap, bracket, min_swap_count, simulate, travel_distance
-from latticeswap.search import SearchLimits, assign_buffers, min_swap_astar
+from latticeswap.search import (
+    SearchLimits,
+    apply_action,
+    assign_buffers,
+    enumerate_actions,
+    min_swap_astar,
+    scope_contents,
+)
 from oracles import brute_min_travel
 
 
@@ -134,6 +143,33 @@ class TestMinSwapAstar:
             min_swap_astar(arr.lattice, nontrivial_cycles(arr), k=0)
         with pytest.raises(InvalidConfig):
             min_swap_astar(arr.lattice, [], k=0)
+
+
+class TestStateKernel:
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_empty_cells_match_hand(self, data):
+        """Every reachable state has as many empty cells as objects in
+        hand, so an empty hand leaves no cell empty: the MCTS rollout
+        picks from every unresolved cell without a filter."""
+        dims = data.draw(st.sampled_from([(6,), (9,), (12,), (2, 3), (3, 3), (3, 4)]), label="dims")
+        seed = data.draw(st.integers(0, 10**6), label="seed")
+        arr = random_arrangement(math.prod(dims), seed, dims=dims if len(dims) > 1 else None)
+        k = data.draw(st.integers(1, 3), label="k")
+        range_prune = data.draw(st.booleans(), label="range_prune")
+        cycles = nontrivial_cycles(arr)
+        cells = sorted(cell for c in cycles for cell in c.cells)
+        n = len(cells)
+        pos, held, contents = n, (), scope_contents(cells, resident_map(cycles))
+        assert contents.count(n) == len(held) == 0
+        for _ in range(4 * arr.m):
+            acts = enumerate_actions(contents, held, pos, k, range_prune)
+            if not acts:
+                break
+            act = data.draw(st.sampled_from(acts))
+            contents, held = apply_action(contents, held, act, n)
+            pos = act[0]
+            assert contents.count(n) == len(held)
 
 
 class TestAssignBuffers:
