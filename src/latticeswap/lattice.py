@@ -24,9 +24,9 @@ from __future__ import annotations
 import math
 import random
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import ClassVar, Iterable, Sequence
 
 from .errors import InvalidArrangement, InvalidConfig
 
@@ -333,32 +333,14 @@ class CycleStatistics:
     top3_mean: float
     cycle_count_mean: float
 
-    CSV_COLUMNS = (
-        "m",
-        "samples",
-        "frac1_mean",
-        "frac1_std",
-        "frac2_mean",
-        "frac2_std",
-        "frac3_mean",
-        "frac3_std",
-        "top3_mean",
-        "cycle_count_mean",
-    )
+    CSV_COLUMNS: ClassVar[tuple[str, ...]]
 
     def csv_row(self) -> list[str]:
-        return [
-            str(self.m),
-            str(self.samples),
-            f"{self.frac1_mean:.6f}",
-            f"{self.frac1_std:.6f}",
-            f"{self.frac2_mean:.6f}",
-            f"{self.frac2_std:.6f}",
-            f"{self.frac3_mean:.6f}",
-            f"{self.frac3_std:.6f}",
-            f"{self.top3_mean:.6f}",
-            f"{self.cycle_count_mean:.6f}",
-        ]
+        values = (getattr(self, name) for name in self.CSV_COLUMNS)
+        return [str(v) if isinstance(v, int) else f"{v:.6f}" for v in values]
+
+
+CycleStatistics.CSV_COLUMNS = tuple(f.name for f in fields(CycleStatistics))
 
 
 def sample_cycle_sizes(m: int, rng: random.Random) -> list[int]:

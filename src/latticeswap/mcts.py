@@ -13,13 +13,14 @@ iteration selects again, so they never list their actions.
 
 The rollout policy places some held object at its goal whenever the
 hand is non-empty and otherwise picks from a uniformly random
-unresolved cell.  Such a rollout always finishes within 2m + 2
-actions and its cost is a real completion estimate, which keeps the
-child means on the scale of actual plan costs.  The kernel keeps as
-many empty cells as objects in hand: a pick into a free slot adds one
-to each count, a deposit into an empty cell takes one from each, and
-every other act leaves both alone.  So with the hand empty every
-unresolved cell holds an object, and the draw needs no filter.
+unresolved cell.  Such a rollout always finishes within 2n + 1 steps
+on the n cells in scope, and its cost is a real completion estimate,
+which keeps the child means on the scale of actual plan costs.  The
+kernel keeps as many empty cells as objects in hand: a pick into a
+free slot adds one to each count, a deposit into an empty cell takes
+one from each, and every other act leaves both alone.  So with the
+hand empty every unresolved cell holds an object, and the draw needs
+no filter.
 
 Rollout costs set the scale of the exploration constant: it is a tenth
 of the mean episode cost of the first rollouts at each decision point.
@@ -28,10 +29,11 @@ held-object goals on either side of the robot.
 
 States, acts and rollouts use the scope positions of the one state
 kernel in ``search`` (``enumerate_actions`` and ``apply_action``,
-reached through ``oracle``); acts become cell labels once, when the
-plan is returned.  Every step the search prices, in the tree and in
-rollouts, reads one table ``cost_of[p][q] = c_p + c_t * legs[p][q]``
-built once per plan from the leg table of ``search.leg_table``.
+reached through ``oracle``) and its goal test ``search.goal_test``;
+acts become cell labels once, when the plan is returned.  Every step
+the search prices, in the tree and in rollouts, reads one table
+``cost_of[p][q] = c_p + c_t * legs[p][q]`` built once per plan from
+the leg table of ``search.leg_table``.
 
 ``timeout_s`` bounds the whole plan: one monotonic deadline is checked
 once per search iteration, and on expiry ``PlanningTimeout`` is raised
@@ -49,8 +51,16 @@ from typing import Sequence
 from .errors import InvalidConfig, PlanningTimeout
 from .lattice import Arrangement, nontrivial_cycles, resident_map
 from .oracle import apply_action, enumerate_actions
-from .plan import CostParams, Plan, bookend
-from .search import Act, SearchLimits, assign_buffers, label_actions, leg_table, scope_contents
+from .plan import CostParams, Plan, bracket
+from .search import (
+    Act,
+    SearchLimits,
+    assign_buffers,
+    goal_test,
+    label_actions,
+    leg_table,
+    scope_contents,
+)
 
 STALL_PENALTY_OPS = 1_000_000
 CALIBRATION_ROLLOUTS = 32
@@ -66,10 +76,15 @@ class MctsConfig:
     quality/time dial.  The UCB scale is not set here: it settles at
     ``EXPLORATION_FRACTION`` of the mean episode cost seen in the first
     ``CALIBRATION_ROLLOUTS`` iterations (large enough to keep sampling
-    alternatives, small enough that the tree still deepens).  Rollouts
-    stop after ``ROLLOUT_CAP_FACTOR * m`` actions and charge a large
-    penalty, which keeps walks that never reach the goal from looking
-    acceptable.
+    alternatives, small enough that the tree still deepens).
+
+    A rollout ends within 2n + 1 steps on n cells in scope: each
+    deposit resolves a cell, and by the kernel's empty-cell invariant
+    each pick is followed by a deposit.  So the stop after
+    ``ROLLOUT_CAP_FACTOR * m`` steps and its ``STALL_PENALTY_OPS``
+    charge are reached only on a kernel fault.  They stay because
+    ``timeout_s`` is checked only between iterations and would not stop
+    a runaway rollout.
     """
 
     budget: int = 2048
@@ -131,18 +146,14 @@ def plan_mcts(
     lattice = start.lattice
     rng = random.Random(config.seed)
     cycles = nontrivial_cycles(start)
-    be = bookend(lattice)
-    if not cycles:
-        return Plan((be, be), buffer_of=(None, None))
-
     cells = tuple(sorted(cell for c in cycles for cell in c.cells))
     n = len(cells)
-    goal = tuple(range(n))
     legs = leg_table(lattice, cells)[0]
     c_p, c_t = params.c_p, params.c_t
     cost_of = [[c_p + c_t * leg for leg in row] for row in legs]
     range_prune = lattice.ndim == 1
     rollout_cap = ROLLOUT_CAP_FACTOR * lattice.m
+    terminal = goal_test(n)
 
     def legal(state) -> list[Act]:
         pos, held, contents = state
@@ -155,9 +166,6 @@ def plan_mcts(
         pos, held, contents = state
         nc, nh = apply_action(contents, held, action, n)
         return (action[0], nh, nc), cost_of[pos][action[0]]
-
-    def terminal(state) -> bool:
-        return state[2] == goal and not state[1]
 
     def rollout(state) -> float:
         """Place-first completion: deposit a held object at its goal,
@@ -247,7 +255,4 @@ def plan_mcts(
         state, _ = step(state, action)
         seen.add(state[1:])
     plan = label_actions(actions, cells)
-    return Plan(
-        (be, *plan, be),
-        buffer_of=(None, *assign_buffers(plan, k), None),
-    )
+    return bracket(plan, lattice, assign_buffers(plan, k))

@@ -49,14 +49,9 @@ from .lattice import (
     nontrivial_cycles,
     offset_table,
 )
-from .plan import PickNSwap, Plan, bookend, sequence_travel
+from .plan import PickNSwap, Plan, bracket, sequence_travel
 from .search import SearchLimits
-from .single_buffer import (
-    DETOUR_SLACK_2D,
-    compose_group_actions,
-    exact_group_actions,
-    greedy_switch_actions,
-)
+from .single_buffer import DETOUR_SLACK_2D, greedy_switch_actions, groupwise_exact_actions
 
 MERGE_EXACT_STATES = 3_000_000  # interleaving states the merge solves exactly
 MERGE_BEAM = 5_000  # states kept per stage past that
@@ -306,22 +301,15 @@ def buffer_share_actions(
 ) -> tuple[list[PickNSwap], bool]:
     """Plan one buffer's share of cycles as a single-buffer tour.
 
-    1D shares are re-grouped into span-connected runs, each planned
-    exactly (or greedily past the size cap) and spliced left to right.
+    A 1D share is solved by ``groupwise_exact_actions``: re-grouped into
+    span-connected runs, each planned exactly (or greedily past the size
+    cap) and spliced left to right.
     On a 2D board the share is one nearest-first greedy tour.
     """
-    if not share:
-        return [], False
     if lattice.ndim > 1:
         return greedy_switch_actions(share, lattice, DETOUR_SLACK_2D, order="nearest"), False
     limits = SearchLimits(size_cap=config.buffer_exact_cells, timeout_s=config.search_timeout_s)
-    per_run = []
-    fallback = False
-    for run in group_cycles(share, lattice):
-        actions, degraded = exact_group_actions(run.cycles, lattice, limits)
-        fallback = fallback or degraded
-        per_run.append(actions)
-    return compose_group_actions(per_run), fallback
+    return groupwise_exact_actions(share, lattice, limits)
 
 
 def plan_multi_buffer_dp(
@@ -339,13 +327,8 @@ def plan_multi_buffer_dp(
     if k < 1:
         raise InvalidConfig(f"need at least one buffer, got k={k}")
     lattice = start.lattice
-    cycles = nontrivial_cycles(start)
-    be = bookend(lattice)
-    if not cycles:
-        return Plan((be, be), buffer_of=(None, None))
-
     shares: list[list[Cycle]] = [[] for _ in range(k)]
-    for group in group_cycles(cycles, lattice):
+    for group in group_cycles(nontrivial_cycles(start), lattice):
         for slot, idxs in enumerate(assign_cycles(group.cycles, k)):
             shares[slot].extend(group.cycles[i] for i in idxs)
 
@@ -359,4 +342,4 @@ def plan_multi_buffer_dp(
     merged, labels, _ = merge_task_sequences(
         sequences, lattice, config.merge_exact_states, config.merge_beam
     )
-    return Plan((be, *merged, be), buffer_of=(None, *labels, None), fallback=fallback)
+    return bracket(merged, lattice, labels, fallback)

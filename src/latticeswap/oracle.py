@@ -16,9 +16,11 @@ one state kernel (``search.enumerate_actions`` and
 ``search.apply_action``, on scope positions) as its successor function.
 Its scope is every cell of the board, so position ``p`` is cell
 ``p + 1``.  The unrestricted search also shares the swap-minimal
-search's leg table and farthest-first lists (``search.leg_table``): its
-step costs read the table, and its bound ``c_p * unresolved + c_t * far``
-takes ``far`` from the first unresolved cell on the position's list.
+search's leg table (``search.leg_table``), bound and goal test: its
+step costs read the table, and its bound is
+``c_p * unresolved + c_t * far`` with ``far`` the swap-minimal search's
+own bound, ``search.far_bound``.  Both planners return through
+``plan.bracket``, with buffer slots from ``search.assign_buffers``.
 """
 
 from __future__ import annotations
@@ -28,13 +30,15 @@ from operator import ne
 
 from .errors import SizeLimitExceeded
 from .lattice import Arrangement, nontrivial_cycles
-from .plan import CostParams, Plan, bookend
+from .plan import CostParams, Plan, bracket
 from .search import (
     SearchLimits,
     _astar,
     apply_action,
     assign_buffers,
     enumerate_actions,
+    far_bound,
+    goal_test,
     label_actions,
     leg_table,
     min_swap_astar,
@@ -67,11 +71,7 @@ def plan_optimal(
     if k > K_CAP:
         raise SizeLimitExceeded(f"k={k} exceeds the oracle cap of {K_CAP}")
     actions = min_swap_astar(start.lattice, nontrivial_cycles(start), k, limits)
-    be = bookend(start.lattice)
-    return Plan(
-        (be, *actions, be),
-        buffer_of=(None, *assign_buffers(actions, k), None),
-    )
+    return bracket(actions, start.lattice, assign_buffers(actions, k))
 
 
 def plan_optimal_unrestricted(
@@ -95,18 +95,10 @@ def plan_optimal_unrestricted(
     n = len(cells)
     goal = tuple(range(n))
     legs, far = leg_table(lattice, cells)
+    reach = far_bound(legs, far)
 
     def heuristic(state) -> float:
-        p, _, contents = state
-        reach = legs[p][n]
-        for i, bound in far[p]:
-            if contents[i] != i:
-                reach = max(bound, reach)
-                break
-        return params.c_p * sum(map(ne, contents, goal)) + params.c_t * reach
-
-    def is_goal(state) -> bool:
-        return state[2] == goal and not state[1]
+        return params.c_p * sum(map(ne, state[2], goal)) + params.c_t * reach(state)
 
     def expand(state):
         p, held, contents = state
@@ -116,9 +108,6 @@ def plan_optimal_unrestricted(
             yield (act[0], nh, nc), params.c_p + params.c_t * row[act[0]], act
 
     root = (n, (), scope_contents(cells, dict(zip(cells, start.placement))))
-    actions = label_actions(_astar(root, expand, heuristic, is_goal, limits.timeout_s), cells)
-    be = bookend(lattice)
-    return Plan(
-        (be, *actions, be),
-        buffer_of=(None, *assign_buffers(actions, k), None),
-    )
+    acts = _astar(root, expand, heuristic, goal_test(n), limits.timeout_s)
+    actions = label_actions(acts, cells)
+    return bracket(actions, lattice, assign_buffers(actions, k))

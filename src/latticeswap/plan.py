@@ -107,10 +107,17 @@ def bookend(lattice: Lattice) -> PickNSwap:
     return PickNSwap(lattice.rest, EMPTY, EMPTY)
 
 
-def bracket(actions: Iterable[PickNSwap], lattice: Lattice, **kwargs) -> Plan:
-    """Wrap bare actions in the rest-cell bookends."""
+def bracket(
+    actions: Iterable[PickNSwap],
+    lattice: Lattice,
+    buffers: Iterable[int | None] | None = None,
+    fallback: bool = False,
+) -> Plan:
+    """Wrap bare actions in the rest-cell bookends; ``buffers``, if given,
+    labels the bare actions with buffer slots and the bookends with ``None``."""
     be = bookend(lattice)
-    return Plan((be, *actions, be), **kwargs)
+    buffer_of = None if buffers is None else (None, *buffers, None)
+    return Plan((be, *actions, be), buffer_of, fallback)
 
 
 @dataclass(frozen=True)

@@ -29,10 +29,11 @@ use ``enumerate_actions``.  Three things keep a push cheap:
 - ``leg_table`` computes every leg between two positions once per
   search, ``(n+1)**2`` distance calls in all, and every step cost and
   bound reads it.
-- The bound reads a list per position, worked out once with the table:
-  every cell with its leg from that position plus its leg home,
-  farthest first.  The first unresolved cell on the list gives the
-  farthest value, and the bound is the larger of it and the leg home.
+- The bound, ``far_bound``, reads a list per position, worked out once
+  with the table: every cell with its leg from that position plus its
+  leg home, farthest first.  The first unresolved cell on the list
+  gives the farthest value, and the bound is the larger of it and the
+  leg home.
 - A state also carries a bitmask of the cycles already touched.  A
   touched cycle never shows its original residents again, so the mask
   is a function of the contents and the states are the same as without
@@ -40,8 +41,9 @@ use ``enumerate_actions``.  Three things keep a push cheap:
 
 ``_astar`` is the package's one A* loop: ``min_swap_astar`` and the
 oracle's unrestricted search both run on it, each supplying its own
-successor function, bound and goal test, and both take their legs and
-bound lists from ``leg_table``.
+successor function.  Both take their legs from ``leg_table``, their
+bound from ``far_bound`` and their goal test from ``goal_test``, which
+``plan_mcts`` uses too.
 """
 
 from __future__ import annotations
@@ -143,6 +145,36 @@ def leg_table(
         for row in legs
     ]
     return legs, far
+
+
+def far_bound(
+    legs: list[list[float]], far: list[list[tuple[int, float]]]
+) -> Callable[[tuple], float]:
+    """The bound "farthest unresolved cell, then home" on ``leg_table``'s
+    legs and lists, for a state whose entry 0 is the position and entry
+    2 the contents."""
+    n = len(legs) - 1
+
+    def bound(state) -> float:
+        p, contents = state[0], state[2]
+        home = legs[p][n]
+        for i, reach in far[p]:
+            if contents[i] != i:
+                return reach if reach > home else home
+        return home
+
+    return bound
+
+
+def goal_test(n: int) -> Callable[[tuple], bool]:
+    """The goal test on ``n`` scope positions: every position holds its
+    own object (entry 2) and the hand (entry 1) is empty."""
+    goal = tuple(range(n))
+
+    def is_goal(state) -> bool:
+        return state[2] == goal and not state[1]
+
+    return is_goal
 
 
 def actions_at(
@@ -255,19 +287,7 @@ def min_swap_astar(
     n = len(cells)
     index = {cell: i for i, cell in enumerate(cells)}
     cycle_idx = [tuple(index[cell] for cell in c.cells) for c in work]
-    goal = tuple(range(n))
     legs, far = leg_table(lattice, cells)
-
-    def heuristic(state) -> float:
-        p, _, contents, _ = state
-        home = legs[p][n]
-        for i, bound in far[p]:
-            if contents[i] != i:
-                return bound if bound > home else home
-        return home
-
-    def is_goal(state) -> bool:
-        return state[2] == goal and not state[1]
 
     def expand(state):
         p, held, contents, touched = state
@@ -289,7 +309,8 @@ def min_swap_astar(
             yield (h, nh, nc, touched), row[h], act
 
     start = (n, (), scope_contents(cells, resident_map(work)), 0)
-    return label_actions(_astar(start, expand, heuristic, is_goal, limits.timeout_s), cells)
+    acts = _astar(start, expand, far_bound(legs, far), goal_test(n), limits.timeout_s)
+    return label_actions(acts, cells)
 
 
 def assign_buffers(actions: Sequence[PickNSwap], k: int) -> tuple[int | None, ...]:

@@ -205,18 +205,25 @@ def exact_group_actions(
         return greedy_switch_actions(cycles, lattice, slack, order), True
 
 
+def groupwise_exact_actions(
+    cycles: Sequence[Cycle], lattice: Lattice, limits: SearchLimits = SearchLimits()
+) -> tuple[list[PickNSwap], bool]:
+    """``exact_group_actions`` per span-disjoint group, spliced left to
+    right; the flag is set when any group fell back to the greedy tour."""
+    per_group = []
+    fallback = False
+    for g in group_cycles(cycles, lattice):
+        actions, degraded = exact_group_actions(g.cycles, lattice, limits)
+        fallback = fallback or degraded
+        per_group.append(actions)
+    return compose_group_actions(per_group), fallback
+
+
 def plan_single_buffer_exact(start: Arrangement, limits: SearchLimits = SearchLimits()) -> Plan:
     """Cheapest single-buffer plan, solved per span-disjoint group.
 
     Groups beyond the search cap degrade to the greedy tour and mark
     the plan as a fallback.
     """
-    lattice = start.lattice
-    groups = group_cycles(nontrivial_cycles(start), lattice)
-    per_group = []
-    fallback = False
-    for g in groups:
-        actions, degraded = exact_group_actions(g.cycles, lattice, limits)
-        fallback = fallback or degraded
-        per_group.append(actions)
-    return bracket(compose_group_actions(per_group), lattice, fallback=fallback)
+    actions, fallback = groupwise_exact_actions(nontrivial_cycles(start), start.lattice, limits)
+    return bracket(actions, start.lattice, fallback=fallback)

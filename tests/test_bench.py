@@ -1,6 +1,7 @@
 """Sweep plumbing: seeds, case grids, result rows, savings tables."""
 
 import csv
+import math
 import time
 
 import pytest
@@ -8,12 +9,14 @@ import pytest
 from latticeswap import bench
 from latticeswap.bench import (
     ALGORITHMS,
+    PLANNERS,
     RESULT_COLUMNS,
     SAVINGS_COLUMNS,
     BenchCase,
     board_dims,
     build_instance,
     instance_seed,
+    plan_instance,
     report_savings,
     rollout_seed,
     run_case,
@@ -29,7 +32,9 @@ from latticeswap.errors import (
     MissingBaseline,
     PlanningTimeout,
 )
-from latticeswap.lattice import Arrangement, CycleStatistics
+from latticeswap.lattice import EMPTY, Arrangement, CycleStatistics, Lattice
+from latticeswap.oracle import UNRESTRICTED_K_CAP, plan_optimal_unrestricted
+from latticeswap.plan import Instance, PickNSwap
 
 
 class TestSeeds:
@@ -72,6 +77,28 @@ class TestBoards:
         inst = build_instance(2, 10, 0, 0, 2)
         assert inst.arrangement.m == 16
         assert inst.k == 2
+
+
+# The planners whose plans carry no buffer labels.
+UNLABELLED = {"follow", "switch", "exact", "2d-greedy"}
+NO_CYCLE_CASES = [(algo, k) for algo in PLANNERS for k in (1, 2, 3)] + [
+    ("unrestricted", k) for k in range(1, UNRESTRICTED_K_CAP + 1)
+]
+
+
+@pytest.mark.parametrize("dims", [(7,), (2, 3)])
+@pytest.mark.parametrize(("algo", "k"), NO_CYCLE_CASES)
+def test_no_cycle_plan_is_the_two_bookends(algo, k, dims):
+    lattice = Lattice(dims)
+    arr = Arrangement(lattice, tuple(range(1, math.prod(dims) + 1)))
+    if algo == "unrestricted":
+        plan = plan_optimal_unrestricted(arr, k)
+    else:
+        plan = plan_instance(Instance(arr, k), algo)
+    be = PickNSwap(lattice.rest, EMPTY, EMPTY)
+    assert plan.actions == (be, be)
+    assert plan.buffer_of == (None if algo in UNLABELLED else (None, None))
+    assert plan.fallback is False
 
 
 class TestSweepCases:
@@ -213,6 +240,16 @@ class TestRunCase:
             assert tuple(row) == RESULT_COLUMNS
             assert row["timeout"] == 0
             assert row["valid"] == (0 if row["error"] else 1)
+
+    def test_parallel_sweep_gives_the_serial_rows(self):
+        # k = 0 gives one InvalidConfig row per algorithm in both paths.
+        cases = sweep_cases([1, 2], [6], [0, 2], ["switch", "dp", "mcts"], trials=2, budget=16)
+        serial = run_sweep(cases, base_seed=4, workers=1)
+        parallel = run_sweep(cases, base_seed=4, workers=2)
+        assert any(r["error"] == "InvalidConfig" for r in serial)
+        for row in serial + parallel:
+            row.pop("wall_ms")
+        assert parallel == serial
 
     def test_rows_are_deterministic(self):
         # Everything except the wall-clock column repeats exactly.

@@ -152,7 +152,7 @@ class TestMinSwapCount:
 
 class TestSerialization:
     def test_plan_record_shape(self):
-        plan = bracket([PickNSwap(4, EMPTY, 2)], Lattice((5,)), buffer_of=(None, 1, None))
+        plan = bracket([PickNSwap(4, EMPTY, 2)], Lattice((5,)), buffers=(1,))
         records = plan.records()
         assert records[1] == {"index": 1, "cell": 4, "deposit": 0, "pick": 2, "buffer": 1}
         assert "buffer" not in records[0] or records[0].get("buffer") is None
