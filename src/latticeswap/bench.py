@@ -13,8 +13,8 @@ count.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
-import os
 import statistics
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -26,7 +26,7 @@ from .errors import InvalidConfig, LatticeSwapError, MissingBaseline, PlanningTi
 from .lattice import cycle_statistics, random_arrangement, CycleStatistics
 from .mcts import MctsConfig, plan_mcts
 from .multi_buffer import PipelineConfig, plan_multi_buffer_dp
-from .oracle import OracleLimits, plan_optimal
+from .oracle import plan_optimal
 from .plan import CostParams, Instance, Plan, evaluate_cost, simulate
 from .search import SearchLimits
 from .single_buffer import (
@@ -51,7 +51,7 @@ PLANNERS: dict[str, Callable[..., Plan]] = {
     "mcts": lambda arr, k, cp, ct, timeout_s, budget, seed, **_: plan_mcts(
         arr, k, CostParams(cp, ct), MctsConfig(budget=budget, seed=seed), timeout_s
     ),
-    "opt": lambda arr, k, timeout_s, **_: plan_optimal(arr, k, OracleLimits(timeout_s=timeout_s)),
+    "opt": lambda arr, k, timeout_s, **_: plan_optimal(arr, k, timeout_s),
 }
 
 ALGORITHMS = tuple(PLANNERS)
@@ -177,23 +177,11 @@ def plan_instance(
 def run_case(case: BenchCase, base_seed: int) -> dict:
     """One sweep row.  A package error, bad sizes included, spoils this
     row only: it is recorded in ``error`` and the sweep goes on."""
-    row = {
-        "dim": case.dim,
-        "m": case.m,
-        "k": case.k,
-        "algo": case.algo,
-        "cp": case.cp,
-        "ct": case.ct,
-        "trial": case.trial,
-        "seed": instance_seed(base_seed, case.m, case.trial),
-        "swaps": "",
-        "travel": "",
-        "total": "",
-        "wall_ms": 0,
-        "timeout": 1,
-        "valid": 0,
-        "error": "",
-    }
+    row = dict.fromkeys(RESULT_COLUMNS, "")
+    row.update(
+        dim=case.dim, m=case.m, k=case.k, algo=case.algo, cp=case.cp, ct=case.ct, trial=case.trial,
+        seed=instance_seed(base_seed, case.m, case.trial), wall_ms=0, timeout=1, valid=0,
+    )
     try:
         instance = build_instance(case.dim, case.m, base_seed, case.trial, case.k)
     except LatticeSwapError as exc:
@@ -230,18 +218,10 @@ def run_case(case: BenchCase, base_seed: int) -> dict:
     return row
 
 
-def _case_worker(packed: tuple[BenchCase, int]) -> dict:
-    case, base_seed = packed
-    return run_case(case, base_seed)
-
-
-def run_sweep(cases: Iterable[BenchCase], base_seed: int, workers: int | None = None) -> list[dict]:
-    cases = list(cases)
-    if workers is None:
-        workers = int(os.environ.get("LATTICESWAP_WORKERS", "1"))
+def run_sweep(cases: Iterable[BenchCase], base_seed: int, workers: int = 1) -> list[dict]:
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_case_worker, [(c, base_seed) for c in cases]))
+            return list(pool.map(run_case, cases, itertools.repeat(base_seed)))
     return [run_case(c, base_seed) for c in cases]
 
 

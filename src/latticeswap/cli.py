@@ -198,7 +198,7 @@ def build_parser(bench_config: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--ct", type=float, default=BenchCase.ct)
     p.add_argument("--timeout", type=float, default=BenchCase.timeout_s, help="per-run budget in seconds")
     p.add_argument("--budget", type=int, default=BenchCase.budget, help="rollouts per action (mcts)")
-    p.add_argument("--workers", type=int, default=None, help="processes (default: LATTICESWAP_WORKERS or 1)")
+    p.add_argument("--workers", type=int, default=1, help="processes")
     p.add_argument("--baseline-algo", default=None, help="reference algorithm for the savings table")
     p.add_argument("--baseline-k", type=int, default=1, help="reference buffer count")
     p.add_argument("--savings-out", default=None, help="aggregated travel-ratio CSV path")

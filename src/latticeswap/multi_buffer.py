@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 from .errors import InvalidConfig, MergeStateLimit
 from .lattice import (
@@ -51,7 +51,7 @@ from .lattice import (
 )
 from .plan import PickNSwap, Plan, bracket, sequence_travel
 from .search import SearchLimits
-from .single_buffer import DETOUR_SLACK_2D, greedy_switch_actions, groupwise_exact_actions
+from .single_buffer import greedy_tour_actions, groupwise_exact_actions
 
 MERGE_EXACT_STATES = 3_000_000  # interleaving states the merge solves exactly
 MERGE_BEAM = 5_000  # states kept per stage past that
@@ -63,15 +63,18 @@ class PipelineConfig:
 
     Within a buffer's share, each span-connected run of cycles covering
     at most ``buffer_exact_cells`` cells is planned exactly; larger
-    runs fall back to the greedy switching tour and flag the plan.  The
-    interleaving DP runs exactly up to ``merge_exact_states`` states
-    and then beams, keeping ``merge_beam`` states per stage.
+    runs fall back to the greedy switching tour and flag the plan.
+    ``search_timeout_s`` bounds each of those exact searches.  The
+    interleaving DP runs exactly up to ``MERGE_EXACT_STATES`` states and
+    then beams, keeping ``MERGE_BEAM`` states per stage; the two class
+    constants only name those caps for the stage-wise benchmark replay,
+    and can go once that replay reads the module constants.
     """
 
     buffer_exact_cells: int = SearchLimits.size_cap
-    merge_exact_states: int = MERGE_EXACT_STATES
-    merge_beam: int | None = MERGE_BEAM
     search_timeout_s: float = SearchLimits.timeout_s
+    merge_exact_states: ClassVar[int] = MERGE_EXACT_STATES
+    merge_beam: ClassVar[int] = MERGE_BEAM
 
 
 def assign_cycles(cycles: Sequence[Cycle], k: int) -> list[tuple[int, ...]]:
@@ -307,7 +310,7 @@ def buffer_share_actions(
     On a 2D board the share is one nearest-first greedy tour.
     """
     if lattice.ndim > 1:
-        return greedy_switch_actions(share, lattice, DETOUR_SLACK_2D, order="nearest"), False
+        return greedy_tour_actions(share, lattice), False
     limits = SearchLimits(size_cap=config.buffer_exact_cells, timeout_s=config.search_timeout_s)
     return groupwise_exact_actions(share, lattice, limits)
 
@@ -339,7 +342,5 @@ def plan_multi_buffer_dp(
         fallback = fallback or degraded
         sequences.append(actions)
 
-    merged, labels, _ = merge_task_sequences(
-        sequences, lattice, config.merge_exact_states, config.merge_beam
-    )
+    merged, labels, _ = merge_task_sequences(sequences, lattice)
     return bracket(merged, lattice, labels, fallback)

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import ne
 
-from .errors import SizeLimitExceeded
+from .errors import InvalidConfig, SizeLimitExceeded
 from .lattice import Arrangement, nontrivial_cycles
 from .plan import CostParams, Plan, bracket
 from .search import (
@@ -54,22 +54,20 @@ UNRESTRICTED_K_CAP = 2
 class OracleLimits(SearchLimits):
     """The exact-search limits with the oracle's smaller scope cap.
 
-    ``plan_optimal`` hands these to ``min_swap_astar`` as they are; the
-    unrestricted search reads only ``timeout_s``.  The buffer and board
-    caps are constants: ``K_CAP`` buffers for ``plan_optimal``, and
-    ``UNRESTRICTED_M_CAP`` cells and ``UNRESTRICTED_K_CAP`` buffers for
-    the unrestricted search.
+    ``plan_optimal`` builds these from its ``timeout_s`` and hands them
+    to ``min_swap_astar``.  The buffer and board caps are constants:
+    ``K_CAP`` buffers for ``plan_optimal``, and ``UNRESTRICTED_M_CAP``
+    cells and ``UNRESTRICTED_K_CAP`` buffers for the unrestricted search.
     """
 
     size_cap: int = 12
 
 
-def plan_optimal(
-    start: Arrangement, k: int = 1, limits: OracleLimits = OracleLimits()
-) -> Plan:
+def plan_optimal(start: Arrangement, k: int = 1, timeout_s: float = OracleLimits.timeout_s) -> Plan:
     """Cheapest-travel plan among the swap-minimal plans, k buffers."""
     if k > K_CAP:
         raise SizeLimitExceeded(f"k={k} exceeds the oracle cap of {K_CAP}")
+    limits = OracleLimits(timeout_s=timeout_s)
     actions = min_swap_astar(start.lattice, nontrivial_cycles(start), k, limits)
     return bracket(actions, start.lattice, assign_buffers(actions, k))
 
@@ -78,12 +76,15 @@ def plan_optimal_unrestricted(
     start: Arrangement,
     k: int = 1,
     params: CostParams = CostParams(),
-    limits: OracleLimits = OracleLimits(),
+    timeout_s: float = OracleLimits.timeout_s,
 ) -> Plan:
     """A* over the unrestricted action space, minimizing total cost.
 
-    Exponential in every direction; capped to tiny instances.
+    Exponential in every direction, so capped to tiny instances; raises
+    PlanningTimeout once the search outlives ``timeout_s``.
     """
+    if k < 1:
+        raise InvalidConfig(f"need at least one buffer, got k={k}")
     lattice = start.lattice
     if lattice.m > UNRESTRICTED_M_CAP:
         raise SizeLimitExceeded(
@@ -108,6 +109,6 @@ def plan_optimal_unrestricted(
             yield (act[0], nh, nc), params.c_p + params.c_t * row[act[0]], act
 
     root = (n, (), scope_contents(cells, dict(zip(cells, start.placement))))
-    acts = _astar(root, expand, heuristic, goal_test(n), limits.timeout_s)
+    acts = _astar(root, expand, heuristic, goal_test(n), timeout_s)
     actions = label_actions(acts, cells)
     return bracket(actions, lattice, assign_buffers(actions, k))

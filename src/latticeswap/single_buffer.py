@@ -118,6 +118,15 @@ def greedy_switch_actions(
     return actions
 
 
+def greedy_tour_actions(cycles: Sequence[Cycle], lattice: Lattice) -> list[PickNSwap]:
+    """The greedy tour for the board's dimension: canonical order with
+    on-segment switching on a row, nearest-first with ``DETOUR_SLACK_2D``
+    on a 2D board."""
+    if lattice.ndim == 1:
+        return greedy_switch_actions(cycles, lattice)
+    return greedy_switch_actions(cycles, lattice, DETOUR_SLACK_2D, order="nearest")
+
+
 def _held_after(actions: Sequence[PickNSwap]) -> list[int]:
     """Hand content after each action of a one-buffer action list."""
     held = EMPTY
@@ -194,15 +203,13 @@ def exact_group_actions(
 ) -> tuple[list[PickNSwap], bool]:
     """Cheapest swap-minimal actions for one group of cycles.
 
-    Falls back to the greedy switching tour (flagged) when the group is
+    Falls back to ``greedy_tour_actions`` (flagged) when the group is
     too large for the exact search or the search runs out of time.
     """
     try:
         return min_swap_astar(lattice, cycles, 1, limits), False
     except (SizeLimitExceeded, PlanningTimeout):
-        slack = ON_SEGMENT_SLACK if lattice.ndim == 1 else DETOUR_SLACK_2D
-        order = "canonical" if lattice.ndim == 1 else "nearest"
-        return greedy_switch_actions(cycles, lattice, slack, order), True
+        return greedy_tour_actions(cycles, lattice), True
 
 
 def groupwise_exact_actions(

@@ -135,6 +135,13 @@ class TestBenchCommand:
         assert rows
         assert {(r["timeout"], r["error"]) for r in rows} == {("0", "SizeLimitExceeded")}
 
+    def test_worker_count_comes_from_the_flag_only(self, tmp_path, monkeypatch, capsys):
+        # Only --workers sets the worker count; a stray variable of that name is ignored.
+        monkeypatch.setenv("LATTICESWAP_WORKERS", "two")
+        out = tmp_path / "r.csv"
+        assert run("bench", "--m", "6", "--algo", "switch", "--trials", "2", "-o", str(out)) == 0
+        assert "2 runs (2 finished, 0 errors)" in capsys.readouterr().out
+
     def test_config_file_supplies_options(self, tmp_path, capsys):
         out = tmp_path / "r.csv"
         config = tmp_path / "sweep.json"

@@ -125,6 +125,23 @@ class TestArrangement:
         assert a.placement == b.placement
         assert a.placement != random_arrangement(30, 8).placement
 
+    @given(boards, st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_relative_to_relabels_by_goal_cell(self, start, data):
+        goal = Arrangement(start.lattice, tuple(data.draw(st.permutations(start.placement))))
+        relative = start.relative_to(goal)
+        assert relative.lattice == start.lattice
+        for cell in range(1, start.m + 1):
+            # The object in ``cell`` is renamed after the cell that holds it at the goal.
+            assert goal.placement[relative.at(cell) - 1] == start.at(cell)
+        assert goal.relative_to(goal).is_identity
+
+    def test_relative_to_rejects_another_lattice(self):
+        row = Arrangement.from_sequence([2, 1, 4, 3])
+        square = Arrangement(Lattice((2, 2)), (1, 2, 3, 4))
+        with pytest.raises(InvalidArrangement):
+            row.relative_to(square)
+
 
 class TestCycles:
     def test_worked_example_decomposition(self):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from latticeswap.errors import PlanningTimeout, SizeLimitExceeded
+from latticeswap.errors import InvalidConfig, PlanningTimeout, SizeLimitExceeded
 from latticeswap.lattice import EMPTY, Arrangement, nontrivial_cycles, random_arrangement
 from latticeswap.oracle import OracleLimits, plan_optimal, plan_optimal_unrestricted
 from latticeswap.plan import (
@@ -60,6 +60,14 @@ class TestPlanOptimal:
         with pytest.raises(SizeLimitExceeded):
             plan_optimal(Arrangement.from_sequence([2, 1]), k=7)
 
+    def test_timeout(self):
+        # Adjacent pairs swapped on the largest row the scope cap lets
+        # through: far more than the 1024 expansions between clock checks.
+        n = OracleLimits.size_cap
+        arr = Arrangement.from_sequence([c + 1 if c % 2 else c - 1 for c in range(1, n + 1)])
+        with pytest.raises(PlanningTimeout):
+            plan_optimal(arr, k=2, timeout_s=0.0)
+
 
 class TestPlanOptimalUnrestricted:
     def test_identity_costs_nothing(self):
@@ -92,13 +100,18 @@ class TestPlanOptimalUnrestricted:
     def test_timeout(self):
         arr = Arrangement.from_sequence([2, 1, 4, 3, 6, 5, 8, 7])
         with pytest.raises(PlanningTimeout):
-            plan_optimal_unrestricted(arr, k=2, limits=OracleLimits(timeout_s=0.0))
+            plan_optimal_unrestricted(arr, k=2, timeout_s=0.0)
 
     def test_caps(self):
         with pytest.raises(SizeLimitExceeded):
             plan_optimal_unrestricted(random_arrangement(9, 0))
         with pytest.raises(SizeLimitExceeded):
             plan_optimal_unrestricted(random_arrangement(6, 0), k=3)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_needs_a_buffer(self, k):
+        with pytest.raises(InvalidConfig):
+            plan_optimal_unrestricted(Arrangement.from_sequence([2, 1, 3]), k=k)
 
 
 class TestEnumerateActions:
