@@ -148,7 +148,7 @@ def plan_mcts(
     cycles = nontrivial_cycles(start)
     cells = tuple(sorted(cell for c in cycles for cell in c.cells))
     n = len(cells)
-    legs = leg_table(lattice, cells)[0]
+    legs = leg_table(lattice, cells)
     c_p, c_t = params.c_p, params.c_t
     cost_of = [[c_p + c_t * leg for leg in row] for row in legs]
     range_prune = lattice.ndim == 1

@@ -17,9 +17,11 @@ one state kernel (``search.enumerate_actions`` and
 Its scope is every cell of the board, so position ``p`` is cell
 ``p + 1``.  The unrestricted search also shares the swap-minimal
 search's leg table (``search.leg_table``), bound and goal test: its
-step costs read the table, and its bound is
-``c_p * unresolved + c_t * far`` with ``far`` the swap-minimal search's
-own bound, ``search.far_bound``.  Both planners return through
+step costs read the table, and its bound is ``c_p * unresolved + c_t *
+travel``, where every unresolved cell needs one more operation and the
+travel bound is the swap-minimal search's own, ``search.state_bound``:
+the cut-flow bound on rows, which holds for any plan, and "farthest
+unresolved cell, then home" on 2D boards.  Both planners return through
 ``plan.bracket``, with buffer slots from ``search.assign_buffers``.
 """
 
@@ -37,12 +39,12 @@ from .search import (
     apply_action,
     assign_buffers,
     enumerate_actions,
-    far_bound,
     goal_test,
     label_actions,
     leg_table,
     min_swap_astar,
     scope_contents,
+    state_bound,
 )
 
 K_CAP = 6
@@ -95,8 +97,8 @@ def plan_optimal_unrestricted(
     cells = tuple(range(1, lattice.m + 1))
     n = len(cells)
     goal = tuple(range(n))
-    legs, far = leg_table(lattice, cells)
-    reach = far_bound(legs, far)
+    legs = leg_table(lattice, cells)
+    reach = state_bound(lattice, legs, k)
 
     def heuristic(state) -> float:
         return params.c_p * sum(map(ne, state[2], goal)) + params.c_t * reach(state)

@@ -12,8 +12,15 @@ exactly the executions of the small action system below.
 
 Because the swap count is fixed across this space, finding the best
 swap-minimal plan reduces to minimizing travel.  ``min_swap_astar``
-runs A* over (position, held objects, cell contents) with the
-admissible bound "farthest unresolved cell, then home".
+runs A* over (position, held objects, cell contents).  On a row its
+heuristic is the cut-flow bound ``cut_bound``: every gap between two
+neighbouring cells is crossed at least twice per ``k`` objects that
+must cross it, and at least twice while an unresolved cell lies beyond
+it (one-object robot-arm travel on a line is the setting of Atallah &
+Kosaraju, SIAM J. Comput. 1988).  On 2D boards it is ``far_bound``,
+"farthest unresolved cell, then home".  The same bound at the start
+state, ``travel_lower_bound``, is LB_k, a travel certificate for every
+plan on a row.
 
 The package's one (position, hand, contents) state kernel lives here,
 on scope positions rather than cell labels: the n cells in scope are
@@ -29,11 +36,9 @@ use ``enumerate_actions``.  Three things keep a push cheap:
 - ``leg_table`` computes every leg between two positions once per
   search, ``(n+1)**2`` distance calls in all, and every step cost and
   bound reads it.
-- The bound, ``far_bound``, reads a list per position, worked out once
-  with the table: every cell with its leg from that position plus its
-  leg home, farthest first.  The first unresolved cell on the list
-  gives the farthest value, and the bound is the larger of it and the
-  leg home.
+- ``cut_bound`` takes one difference array over the gaps per state, and
+  ``far_bound`` reads a farthest-first list per position, worked out
+  once per search.
 - A state also carries a bitmask of the cycles already touched.  A
   touched cycle never shows its original residents again, so the mask
   is a function of the contents and the states are the same as without
@@ -41,9 +46,11 @@ use ``enumerate_actions``.  Three things keep a push cheap:
 
 ``_astar`` is the package's one A* loop: ``min_swap_astar`` and the
 oracle's unrestricted search both run on it, each supplying its own
-successor function.  Both take their legs from ``leg_table``, their
-bound from ``far_bound`` and their goal test from ``goal_test``, which
-``plan_mcts`` uses too.
+successor function.  It reopens a state whose cost improves, so an
+admissible bound that is not consistent still gives an optimal plan.
+Both searches take their legs from ``leg_table``, their bound from
+``state_bound`` (``cut_bound`` on rows, ``far_bound`` on boards) and
+their goal test from ``goal_test``, which ``plan_mcts`` uses too.
 """
 
 from __future__ import annotations
@@ -89,7 +96,9 @@ def _astar(
     in ``g + h`` go to the state pushed first; a state is re-pushed only
     when its cost improves by more than 1e-12, and a popped entry whose
     stored cost lies more than 1e-9 above the state's best is stale.
-    Raises PlanningTimeout once the search outlives ``timeout_s``.
+    Raises PlanningTimeout once the search outlives ``timeout_s``; the
+    clock is read at the first expansion and every
+    ``DEADLINE_CHECK_EVERY`` expansions after it.
     """
     best_g: dict = {start: 0.0}
     parent: dict = {}
@@ -110,7 +119,7 @@ def _astar(
             actions.reverse()
             return actions
         expanded += 1
-        if expanded % DEADLINE_CHECK_EVERY == 0 and time.monotonic() > deadline:
+        if expanded % DEADLINE_CHECK_EVERY == 1 and time.monotonic() >= deadline:
             raise PlanningTimeout(f"search gave up after {timeout_s:.0f}s")
         for nxt, step, action in expand(state):
             ng = g + step
@@ -124,36 +133,30 @@ def _astar(
     raise RuntimeError("search exhausted without reaching the goal; this is a bug")
 
 
-def leg_table(
-    lattice: Lattice, cells: Sequence[int]
-) -> tuple[list[list[float]], list[list[tuple[int, float]]]]:
-    """Legs between scope positions and the farthest-first bound lists.
-
-    Position ``p < n`` is ``cells[p]`` and position ``n`` is the rest
-    cell.  ``legs[p][q]`` is ``lattice.distance`` from position ``p`` to
-    position ``q``; ``far[p]`` lists ``(i, legs[p][i] + legs[i][n])``
-    for every cell position ``i``, largest value first, so a bound
-    "farthest unresolved cell, then home" stops at the first unresolved
-    entry.
-    """
+def leg_table(lattice: Lattice, cells: Sequence[int]) -> list[list[float]]:
+    """Legs between scope positions: ``legs[p][q]`` is ``lattice.distance``
+    from position ``p`` to position ``q``, where position ``p < n`` is
+    ``cells[p]`` and position ``n`` is the rest cell."""
     points = (*cells, lattice.rest)
     dist = lattice.distance
-    legs = [[dist(a, b) for b in points] for a in points]
-    n = len(cells)
+    return [[dist(a, b) for b in points] for a in points]
+
+
+def far_bound(legs: list[list[float]]) -> Callable[[tuple], float]:
+    """The bound "farthest unresolved cell, then home" on ``leg_table``'s
+    legs, for a state whose entry 0 is the position and entry 2 the
+    contents.
+
+    Each position gets a list, worked out once: every cell with its leg
+    from that position plus its leg home, farthest first, so the bound
+    stops at the first unresolved entry and takes the larger of it and
+    the leg home.
+    """
+    n = len(legs) - 1
     far = [
         sorted(((i, row[i] + legs[i][n]) for i in range(n)), key=lambda e: e[1], reverse=True)
         for row in legs
     ]
-    return legs, far
-
-
-def far_bound(
-    legs: list[list[float]], far: list[list[tuple[int, float]]]
-) -> Callable[[tuple], float]:
-    """The bound "farthest unresolved cell, then home" on ``leg_table``'s
-    legs and lists, for a state whose entry 0 is the position and entry
-    2 the contents."""
-    n = len(legs) - 1
 
     def bound(state) -> float:
         p, contents = state[0], state[2]
@@ -164,6 +167,95 @@ def far_bound(
         return home
 
     return bound
+
+
+def cut_bound(widths: Sequence[float], k: int) -> Callable[[tuple], float]:
+    """The cut-flow bound on a row, for a state whose entries 0, 1 and 2
+    are the position, the hand and the contents.
+
+    The n scope positions lie along the row in order, with the rest cell
+    left of position 0.  Gap ``g`` runs between positions ``g - 1`` and
+    ``g``, gap 0 from the rest cell to position 0, and ``widths[g]`` is
+    its length.  A plan crosses every gap a whole number of times and
+    carries at most ``k`` objects per crossing.  Let R count the objects
+    at or left of the gap that belong right of it; a held object sits at
+    the robot.  With the robot left of the gap, the plan crosses it an
+    even number of times, at least ``2 * ceil(R/k)``, and at least twice
+    if an unresolved cell lies right of it.  With the robot right of the
+    gap, one more crossing goes left than right, since the robot ends at
+    the rest cell: at least ``2 * ceil(R/k) + 1``.  The bound is the sum
+    of width times crossings.  It is admissible for any plan with ``k``
+    buffers, swap-minimal or not, and on a row never below
+    ``far_bound``.
+
+    The L objects that cross the other way add nothing.  Every state
+    the kernel reaches has as many empty cells as held objects, at most
+    ``k``.  So L is at most R at a gap right of the robot, and at most
+    R + k at a gap left of it, where ``2 * ceil(L/k) - 1`` crossings
+    never exceed ``2 * ceil(R/k) + 1``.
+
+    At the start state (robot at rest, empty hand) this is the static
+    bound LB_k of ``travel_lower_bound``.  Per state it takes one
+    difference array and one pass over the gaps up to the farther of
+    the robot and the last unresolved cell; past both, R is 0.
+    """
+    n = len(widths)
+    up = [-(-c // k) for c in range(n + 1)]
+
+    def bound(state) -> float:
+        p, held, contents = state[0], state[1], state[2]
+        s = p + 1 if p < n else 0  # gaps below s lie left of the robot
+        flow = [0] * (n + 1)
+        last = -1
+        for i, o in enumerate(contents):
+            if o != i:
+                last = i
+                if i < o < n:
+                    flow[i + 1] += 1
+                    flow[o + 1] -= 1
+        for h in held:
+            if h >= s:
+                flow[s] += 1
+                flow[h + 1] -= 1
+        total = 0.0
+        r = 0
+        for g in range(max(s, last + 1)):
+            r += flow[g]
+            c = up[r]
+            total += widths[g] * (2 * c + 1 if g < s else 2 * c if c else 2)
+        return total
+
+    return bound
+
+
+def travel_lower_bound(lattice: Lattice, cycles: Sequence[Cycle], k: int) -> float:
+    """LB_k, a lower bound on the travel of every plan, swap-minimal or
+    not, that puts the objects of ``cycles`` on a row in place with
+    ``k`` buffers.
+
+    It is ``cut_bound`` at the start state of the cycles' scope, in
+    O(n log n) on n scope cells and with no leg table, so it can
+    certify a plan on any row.  Raises InvalidConfig for ``k < 1`` or a
+    2D lattice.
+    """
+    if k < 1:
+        raise InvalidConfig(f"need at least one buffer, got k={k}")
+    if lattice.ndim != 1:
+        raise InvalidConfig(f"the cut-flow bound is defined on rows, got dims={lattice.dims}")
+    work = [c for c in cycles if not c.trivial]
+    cells = sorted(cell for c in work for cell in c.cells)
+    widths = [lattice.distance(a, b) for a, b in zip((lattice.rest, *cells), cells)]
+    n = len(cells)
+    return cut_bound(widths, k)((n, (), scope_contents(cells, resident_map(work))))
+
+
+def state_bound(lattice: Lattice, legs: list[list[float]], k: int) -> Callable[[tuple], float]:
+    """The searches' travel heuristic on ``leg_table``'s legs:
+    ``cut_bound`` on a row, ``far_bound`` on a 2D board."""
+    if lattice.ndim == 1:
+        # Gap 0 is legs[-1][0], the leg from the rest cell to position 0.
+        return cut_bound([legs[g - 1][g] for g in range(len(legs) - 1)], k)
+    return far_bound(legs)
 
 
 def goal_test(n: int) -> Callable[[tuple], bool]:
@@ -287,7 +379,7 @@ def min_swap_astar(
     n = len(cells)
     index = {cell: i for i, cell in enumerate(cells)}
     cycle_idx = [tuple(index[cell] for cell in c.cells) for c in work]
-    legs, far = leg_table(lattice, cells)
+    legs = leg_table(lattice, cells)
 
     def expand(state):
         p, held, contents, touched = state
@@ -309,7 +401,7 @@ def min_swap_astar(
             yield (h, nh, nc, touched), row[h], act
 
     start = (n, (), scope_contents(cells, resident_map(work)), 0)
-    acts = _astar(start, expand, far_bound(legs, far), goal_test(n), limits.timeout_s)
+    acts = _astar(start, expand, state_bound(lattice, legs, k), goal_test(n), limits.timeout_s)
     return label_actions(acts, cells)
 
 

@@ -113,6 +113,39 @@ def brute_min_travel(start: Arrangement, k: int = 1, op_cap: int | None = None) 
     return answer
 
 
+def state_cut_bound(cells: Sequence[int], rest: int, k: int, state: tuple) -> float:
+    """The state form of the cut-flow bound by its definition, one gap
+    between neighbouring points of ``(rest, *cells)`` at a time.
+
+    ``state`` is a search state on the scope positions of ``cells``
+    (position, hand, contents; position ``len(cells)`` is the rest
+    cell and names an empty cell).  Per gap: R objects sit at or left
+    of it and belong right of it, L go the other way (a held object
+    sits at the robot), and U says whether an unresolved cell lies
+    right of it.  The robot crosses ``2 * max(ceil(R/k), ceil(L/k), U)``
+    times from the left of the gap and ``max(2*ceil(R/k) + 1,
+    2*ceil(L/k) - 1, 1)`` times from the right of it.
+    """
+    pos, held, contents = state[0], state[1], state[2]
+    n = len(cells)
+    robot = cells[pos] if pos < n else rest
+    at = {obj: cells[i] for i, obj in enumerate(contents) if obj != n}
+    at.update((obj, robot) for obj in held)
+    total = 0.0
+    points = (rest, *cells)
+    for lo, hi in zip(points, points[1:]):
+        r = sum(1 for obj, cell in at.items() if cell <= lo and cells[obj] >= hi)
+        left = sum(1 for obj, cell in at.items() if cell >= hi and cells[obj] <= lo)
+        u = any(contents[i] != i for i in range(n) if cells[i] >= hi)
+        a, b = math.ceil(r / k), math.ceil(left / k)
+        if robot <= lo:
+            crossings = 2 * max(a, b, int(u))
+        else:
+            crossings = max(2 * a + 1, 2 * b - 1, 1)
+        total += (hi - lo) * crossings
+    return total
+
+
 def exhaustive_interleave_travel(
     sequences: Sequence[Sequence[PickNSwap]], lattice: Lattice
 ) -> float:

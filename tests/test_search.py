@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latticeswap.bench import PLANNERS
 from latticeswap.errors import InvalidConfig, PlanningTimeout, SizeLimitExceeded
 from latticeswap.lattice import (
     EMPTY,
@@ -15,16 +16,29 @@ from latticeswap.lattice import (
     random_arrangement,
     resident_map,
 )
-from latticeswap.plan import PickNSwap, bracket, min_swap_count, simulate, travel_distance
+from latticeswap.oracle import plan_optimal_unrestricted
+from latticeswap.plan import (
+    CostParams,
+    PickNSwap,
+    bracket,
+    min_swap_count,
+    simulate,
+    travel_distance,
+)
 from latticeswap.search import (
     SearchLimits,
     apply_action,
     assign_buffers,
     enumerate_actions,
+    far_bound,
+    leg_table,
     min_swap_astar,
     scope_contents,
+    state_bound,
+    travel_lower_bound,
 )
-from oracles import brute_min_travel
+from latticeswap.single_buffer import plan_cycle_switching
+from oracles import brute_min_travel, state_cut_bound
 
 
 def solve(arr, k=1, limits=SearchLimits()):
@@ -137,12 +151,141 @@ class TestMinSwapAstar:
                 limits=SearchLimits(timeout_s=0.0),
             )
 
+    def test_timeout_binds_short_searches(self):
+        """The clock is read at the first expansion, so a spent limit
+        stops even a search of a few expansions."""
+        arr = Arrangement.from_sequence([2, 1, 3])
+        with pytest.raises(PlanningTimeout):
+            min_swap_astar(arr.lattice, nontrivial_cycles(arr), limits=SearchLimits(timeout_s=0.0))
+
     def test_rejects_zero_buffers(self):
         arr = Arrangement.from_sequence([2, 1])
         with pytest.raises(InvalidConfig):
             min_swap_astar(arr.lattice, nontrivial_cycles(arr), k=0)
         with pytest.raises(InvalidConfig):
             min_swap_astar(arr.lattice, [], k=0)
+
+
+def draw_row(data, max_m=12):
+    m = data.draw(st.integers(2, max_m), label="m")
+    placement = data.draw(st.permutations(list(range(1, m + 1))), label="placement")
+    return Arrangement.from_sequence(placement)
+
+
+def path_states(arr, plan):
+    """The search state before each act of ``plan`` and after the last,
+    on the scope positions ``min_swap_astar`` uses, each with the
+    plan's travel from there on.  Returns the scope cells, their legs
+    and the states."""
+    cycles = nontrivial_cycles(arr)
+    cells = sorted(cell for c in cycles for cell in c.cells)
+    n = len(cells)
+    index = {cell: i for i, cell in enumerate(cells)}
+    label = {**index, EMPTY: n}  # an object is named by its goal cell's position
+    acts = [a for a in plan.actions if not a.is_noop]
+    assert all(a.cell == arr.lattice.rest for a in plan.actions if a.is_noop)
+    stops = [arr.lattice.rest, *(a.cell for a in acts), arr.lattice.rest]
+    steps = [arr.lattice.distance(a, b) for a, b in zip(stops, stops[1:])]
+    remaining = sum(steps)
+    assert remaining == travel_distance(plan, arr.lattice)
+    state = (n, (), scope_contents(cells, resident_map(cycles)))
+    path = []
+    for a, step in zip(acts, steps):
+        path.append((state, remaining))
+        remaining -= step
+        act = (index[a.cell], label[a.deposit], label[a.pick])
+        contents, held = apply_action(state[2], state[1], act, n)
+        state = (act[0], held, contents)
+    path.append((state, remaining))
+    return cells, leg_table(arr.lattice, cells), path
+
+
+class TestCutBound:
+    """The cut-flow bound on rows: the static form LB_k and the state
+    form that ``min_swap_astar`` and the unrestricted oracle use."""
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_static_bound_is_below_every_plan(self, data):
+        arr = draw_row(data)
+        k = data.draw(st.integers(1, 3), label="k")
+        cycles = nontrivial_cycles(arr)
+        for algo in ("follow", "switch", "exact", "dp", "opt", "mcts"):
+            try:
+                plan = PLANNERS[algo](arr, k, cp=1.0, ct=1.0, timeout_s=60.0, budget=16, seed=0)
+            except PlanningTimeout:
+                # At a budget this low the tree search can commit its
+                # action cap before the goal; then there is no plan.
+                assert algo == "mcts"
+                continue
+            buffers = 1 if algo in ("follow", "switch", "exact") else k
+            assert simulate(plan, arr, k=buffers).valid
+            bound = travel_lower_bound(arr.lattice, cycles, buffers)
+            assert bound <= travel_distance(plan, arr.lattice) + 1e-9, algo
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_start_state_gives_the_static_bound(self, data):
+        """On the whole row, and on the scope of any share of the
+        cycles, the state form at the start state equals the static
+        form and the per-gap definition."""
+        arr = draw_row(data, max_m=30)
+        k = data.draw(st.integers(1, 3), label="k")
+        m = arr.m
+        row = range(1, m + 1)
+        whole = state_bound(arr.lattice, leg_table(arr.lattice, row), k)
+
+        def start(placement):
+            return (m, (), tuple(obj - 1 for obj in placement))
+
+        cycles = nontrivial_cycles(arr)
+        assert (
+            whole(start(arr.placement))
+            == travel_lower_bound(arr.lattice, cycles, k)
+            == state_cut_bound(row, arr.lattice.rest, k, start(arr.placement))
+        )
+        keep = data.draw(st.lists(st.booleans(), min_size=len(cycles), max_size=len(cycles)))
+        scope = [c for c, kept in zip(cycles, keep) if kept]
+        placement = list(row)
+        for cell, obj in resident_map(scope).items():
+            placement[cell - 1] = obj
+        assert travel_lower_bound(arr.lattice, scope, k) == state_cut_bound(
+            row, arr.lattice.rest, k, start(placement)
+        )
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_state_bound_is_admissible_along_plans(self, data):
+        """At every state an ``opt``, ``dp`` or unrestricted plan passes
+        through, the state form equals its per-gap definition, is at
+        least ``far_bound`` and is at most the plan's remaining travel."""
+        arr = draw_row(data)
+        k = data.draw(st.integers(1, 3), label="k")
+        plans = [PLANNERS[algo](arr, k, timeout_s=60.0) for algo in ("opt", "dp")]
+        if arr.m <= 7 and k <= 2:
+            plans.append(plan_optimal_unrestricted(arr, k, CostParams(1.0, 1.0)))
+        for plan in plans:
+            cells, legs, path = path_states(arr, plan)
+            cut, far = state_bound(arr.lattice, legs, k), far_bound(legs)
+            for state, remaining in path:
+                assert cut(state) == state_cut_bound(cells, arr.lattice.rest, k, state)
+                assert far(state) <= cut(state) <= remaining + 1e-9
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_switching_tour_meets_the_one_buffer_bound(self, data):
+        arr = draw_row(data)
+        plan = plan_cycle_switching(arr)
+        bound = travel_lower_bound(arr.lattice, nontrivial_cycles(arr), 1)
+        assert travel_distance(plan, arr.lattice) == bound
+
+    def test_rows_only(self):
+        arr = random_arrangement(6, 0, dims=(2, 3))
+        with pytest.raises(InvalidConfig):
+            travel_lower_bound(arr.lattice, nontrivial_cycles(arr), 1)
+        row = random_arrangement(6, 0)
+        with pytest.raises(InvalidConfig):
+            travel_lower_bound(row.lattice, nontrivial_cycles(row), 0)
 
 
 class TestStateKernel:
