@@ -8,7 +8,9 @@ that fits its size and prints the mean and largest travel / LB_k per
 its scope cap.  It also prints on how many rows the switching tour
 travels exactly LB_1.  The ``rows`` column counts the rows in the
 means: ``mcts`` at a low budget can give up (PlanningTimeout) before it
-reaches the goal.  With the defaults it takes a few seconds on one core.
+reaches the goal, and where it gives up on every row the mean and max
+read ``-``.  With the default row count it takes a few seconds on one
+core.
 """
 
 import argparse
@@ -23,12 +25,15 @@ from latticeswap.search import travel_lower_bound
 
 ONE_BUFFER = ("follow", "switch", "exact")
 K_BUFFER = ("dp", "opt", "mcts")
+SIZES = (8, 12, 16, 20)
+SEED = 1000
+MCTS_BUDGET = 16
 
 
-def plan_travel(algo, arr, k, budget):
+def plan_travel(algo, arr, k):
     """The travel of ``algo``'s plan, or None when it gives up."""
     try:
-        plan = PLANNERS[algo](arr, k, cp=1.0, ct=1.0, timeout_s=600.0, budget=budget, seed=0)
+        plan = PLANNERS[algo](arr, k, cp=1.0, ct=1.0, timeout_s=600.0, budget=MCTS_BUDGET, seed=0)
     except PlanningTimeout:
         return None
     return travel_distance(plan, arr.lattice)
@@ -37,30 +42,29 @@ def plan_travel(algo, arr, k, budget):
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--rows", type=int, default=20, help="rows per size")
-    parser.add_argument("--ms", default="8,12,16,20", help="row sizes, comma separated")
-    parser.add_argument("--seed", type=int, default=1000)
-    parser.add_argument("--budget", type=int, default=16, help="mcts rollouts per commit")
     args = parser.parse_args()
 
     print(
-        f"rows: random_arrangement(m, {args.seed} + i), i < {args.rows}; "
-        f"mcts budget {args.budget}, seed 0"
+        f"rows: random_arrangement(m, {SEED} + i), i < {args.rows}; "
+        f"mcts budget {MCTS_BUDGET}, seed 0"
     )
     print(f"{'m':>3} {'k':>2}  {'planner':<7} {'mean':>7} {'max':>7} {'rows':>4}")
-    for m in (int(x) for x in args.ms.split(",")):
-        rows = [random_arrangement(m, args.seed + i) for i in range(args.rows)]
+    for m in SIZES:
+        rows = [random_arrangement(m, SEED + i) for i in range(args.rows)]
         for k in (1, 2, 3):
             bounds = [travel_lower_bound(arr.lattice, nontrivial_cycles(arr), k) for arr in rows]
             algos = (ONE_BUFFER if k == 1 else ()) + K_BUFFER
             for algo in algos:
                 if algo == "opt" and m > OracleLimits.size_cap:
                     continue
-                travels = [plan_travel(algo, arr, k, args.budget) for arr in rows]
+                travels = [plan_travel(algo, arr, k) for arr in rows]
                 ratios = [t / b for t, b in zip(travels, bounds) if b > 0 and t is not None]
-                print(
-                    f"{m:>3} {k:>2}  {algo:<7} {statistics.fmean(ratios):7.4f} "
-                    f"{max(ratios):7.4f} {len(ratios):>4}"
+                mean, top = (
+                    (f"{statistics.fmean(ratios):7.4f}", f"{max(ratios):7.4f}")
+                    if ratios
+                    else ("-", "-")
                 )
+                print(f"{m:>3} {k:>2}  {algo:<7} {mean:>7} {top:>7} {len(ratios):>4}")
                 if algo == "switch":
                     met = sum(t == b for t, b in zip(travels, bounds))
         print(f"m={m}: switch travels exactly LB_1 on {met} of {len(rows)} rows")
