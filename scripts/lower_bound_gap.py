@@ -7,7 +7,7 @@ that fits its size and prints the mean and largest travel / LB_k per
 ``exact``) are listed at k = 1 only, and ``opt`` only where the row fits
 its scope cap.  It also prints on how many rows the switching tour
 travels exactly LB_1.  The ``rows`` column counts the rows in the
-means: ``mcts`` at a low budget can give up (PlanningTimeout) before it
+means: ``mcts`` at a low budget can give up (SearchGaveUp) before it
 reaches the goal, and where it gives up on every row the mean and max
 read ``-``.  With the default row count it takes a few seconds on one
 core.
@@ -17,7 +17,7 @@ import argparse
 import statistics
 
 from latticeswap.bench import PLANNERS
-from latticeswap.errors import PlanningTimeout
+from latticeswap.errors import SearchGaveUp
 from latticeswap.lattice import nontrivial_cycles, random_arrangement
 from latticeswap.oracle import OracleLimits
 from latticeswap.plan import travel_distance
@@ -34,7 +34,7 @@ def plan_travel(algo, arr, k):
     """The travel of ``algo``'s plan, or None when it gives up."""
     try:
         plan = PLANNERS[algo](arr, k, cp=1.0, ct=1.0, timeout_s=600.0, budget=MCTS_BUDGET, seed=0)
-    except PlanningTimeout:
+    except SearchGaveUp:
         return None
     return travel_distance(plan, arr.lattice)
 

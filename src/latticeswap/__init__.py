@@ -16,6 +16,7 @@ from .errors import (
     MergeStateLimit,
     MissingBaseline,
     PlanningTimeout,
+    SearchGaveUp,
     SizeLimitExceeded,
 )
 from .lattice import (
@@ -84,6 +85,7 @@ __all__ = [
     "PipelineConfig",
     "Plan",
     "PlanningTimeout",
+    "SearchGaveUp",
     "SearchLimits",
     "SizeLimitExceeded",
     "assign_cycles",

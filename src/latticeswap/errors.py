@@ -38,5 +38,12 @@ class PlanningTimeout(LatticeSwapError):
     """A planner exceeded its wall-clock limit."""
 
 
+class SearchGaveUp(LatticeSwapError):
+    """A search planner reached its own action cap before the goal.
+
+    No clock ran out; a larger search budget may reach the goal.
+    """
+
+
 class MissingBaseline(LatticeSwapError):
     """Savings report requested against a baseline absent from the results."""

@@ -37,7 +37,8 @@ the leg table of ``search.leg_table``.
 
 ``timeout_s`` bounds the whole plan: one monotonic deadline is checked
 once per search iteration, and on expiry ``PlanningTimeout`` is raised
-with no partial plan.
+with no partial plan.  A plan that commits max(64, 6 m) actions short of
+the goal raises ``SearchGaveUp`` instead: no clock ran out.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ import time
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import InvalidConfig, PlanningTimeout
+from .errors import InvalidConfig, PlanningTimeout, SearchGaveUp
 from .lattice import Arrangement, nontrivial_cycles, resident_map
 from .oracle import apply_action, enumerate_actions
 from .plan import CostParams, Plan, bracket
@@ -136,7 +137,8 @@ def plan_mcts(
 ) -> Plan:
     """Commit one tree-searched action at a time until the goal.
 
-    Raises ``PlanningTimeout`` once the plan outlives ``timeout_s``.
+    Raises ``PlanningTimeout`` once the plan outlives ``timeout_s``, and
+    ``SearchGaveUp`` if it commits max(64, 6 m) actions short of the goal.
     """
     if k < 1:
         raise InvalidConfig(f"need at least one buffer, got k={k}")
@@ -249,7 +251,7 @@ def plan_mcts(
     commit_cap = max(64, 6 * lattice.m)
     while not terminal(state):
         if len(actions) >= commit_cap:
-            raise PlanningTimeout(f"no goal after committing {commit_cap} actions")
+            raise SearchGaveUp(f"no goal after committing {commit_cap} actions")
         action = decide(state, seen)
         actions.append(action)
         state, _ = step(state, action)

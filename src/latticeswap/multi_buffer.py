@@ -9,27 +9,31 @@ keeps at most one object in hand, so any interleaving of the sequences
 is executable with k buffers; the DP only has to pick the cheapest one.
 
 The interleaving DP's state is (which buffer moved last, how far each
-sequence has progressed), packed into one integer code.  Stage s holds
-the states after s actions sorted by code, so states with the same
-progress vector sit side by side, and buffer b takes all of them to
-the same successor.  A stage step is therefore one grouped minimum per
-buffer over those runs (ties to the smallest previous mover) and one
-stable argsort to put the successors back in code order; nothing is
-sorted by cost.  The state count grows as the product of the sequence
+sequence has progressed).  Stage s holds the sorted mixed-radix codes
+of the distinct progress vectors after s actions and a dense cost
+matrix by last mover and progress vector, +inf where no state exists.
+Buffer b takes every state of one progress vector to one successor,
+so a stage step is one minimum over the movers per buffer and one
+stable argsort merging the buffers' successor codes, each already in
+code order; nothing is sorted by cost.  No predecessor is stored: the
+backtrack recomputes it for the one state per stage on the returned
+path, as the first previous mover whose cost plus leg is the state's
+cost, the sum the forward step took, so ties go to the smallest
+previous mover.  The state count grows as the product of the sequence
 lengths, so past a configurable size the DP switches to a beam: each
-stage keeps only its cheapest states, ties to the smaller code.  A
-beamed stage picks its cheapest successors before the code sort, so
-only the kept ones are sorted.  The beamed result is never worse than
-running the sequences back to back, since that baseline is checked
-explicitly.
+stage after the first keeps only its cheapest states, ties to the
+smaller code, picked before the code sort.  The beamed result is
+never worse than running the sequences back to back, since that
+baseline is checked explicitly.
 
 Every leg, from rest, between two stops or home, is one lookup in the
 lattice's :func:`~latticeswap.lattice.offset_table` by the difference of
 two integer cell keys, so legs equal ``Lattice.distance`` to the last
 bit and the returned travel is the tour length of the returned plan.
-Each sequence's row of cells is padded with at least one rest slot: a
-finished sequence's next slot is then a rest slot in its own row, no
-per-stage clip is needed, and its successors are dropped by progress.
+Each sequence's row of cells has a leading and a trailing rest slot:
+slot d is where the robot stands after that buffer's d-th move, the
+start is stage 0 (at rest, cost 0, under mover 0), and a finished
+sequence's next stop is a rest slot, its successors dropped by progress.
 numpy is imported on the first merge of two or more sequences, so
 planners that never merge do not load it.
 """
@@ -169,11 +173,11 @@ def merge_task_sequences(
     Ties are broken the same way on every path, so the result is a
     function of the inputs alone: a state keeps its cheapest
     predecessor, ties to the smallest previous mover; a beam keeps the
-    cheapest states, ties to the smaller code; the tour ends in the
-    cheapest final state, ties to the smaller code.  A state's code is
-    last mover + nseq * sum(progress[b] * stride[b]), with buffers
-    numbered from 0 in input order and stride[b] = prod(len[c] + 1 for
-    c < b).
+    cheapest states after the first stage, ties to the smaller code;
+    the tour ends in the cheapest final state, ties to the smaller
+    code.  A state's code is last mover + nseq * sum(progress[b] *
+    stride[b]), with buffers numbered from 0 in input order and
+    stride[b] = prod(len[c] + 1 for c < b).
     """
     active = [(i, list(seq)) for i, seq in enumerate(sequences, start=1) if len(seq)]
     if not active:
@@ -196,11 +200,12 @@ def merge_task_sequences(
     lengths_a = np.asarray(lengths, dtype=np.int64)
     radix = lengths_a + 1
     stride = np.cumprod(np.concatenate(([1], radix[:-1])))
-    # One slot per action plus at least one rest slot per row, so a
-    # finished sequence's next slot is a rest slot inside its own row.
-    cells = np.full((nseq, int(lengths_a.max()) + 1), lattice.rest, dtype=np.int64)
+    # Slot d is where the robot stands after that buffer's d-th move and
+    # slot d + 1 its next stop; slot 0 and the slots past the end rest.
+    width = int(lengths_a.max()) + 2
+    cells = np.full((nseq, width), lattice.rest, dtype=np.int64)
     for b, (_, seq) in enumerate(active):
-        cells[b, : len(seq)] = [a.cell for a in seq]
+        cells[b, 1 : len(seq) + 1] = [a.cell for a in seq]
     # Every leg is one lookup: with a slot's key row * (2 * ncols - 1) +
     # col, the leg from slot a to slot b is leg[center + key[a] - key[b]].
     # The rest cell has key 0.
@@ -210,42 +215,27 @@ def merge_task_sequences(
     leg = np.asarray(offset_table(lattice.dims))
     center = len(leg) // 2
 
-    # Stage s holds every reachable state after s actions, encoded as
-    # last-mover + nseq * (mixed-radix progress vector) and kept sorted
-    # by code, so the states sharing a progress vector are adjacent.
-    # ``pos`` is center + the key of each state's robot cell.
-    buffers = np.arange(nseq)[:, None]
+    # Stage s: the sorted codes of its G distinct progress vectors and
+    # cost[last, g], +inf where no state exists; stage 0 is at rest.
     stride_c, radix_c, full = stride[:, None], radix[:, None], lengths_a[:, None]
-    row_base = buffers * cells.shape[1]
-    codes = np.arange(nseq, dtype=np.int64) + nseq * stride
-    pos = center + key[row_base[:, 0]]
-    costs = leg[pos]
-    records = [(codes, np.full(nseq, -1, dtype=np.int8))]
+    row_base = np.arange(nseq)[:, None] * width
+    progress = np.zeros(1, dtype=np.int64)
+    cost = np.full((nseq, 1), np.inf)
+    cost[0, 0] = 0.0
+    stages = [(progress, cost)]
 
     total_stages = int(lengths_a.sum())
-    for _ in range(2, total_stages + 1):
-        n = len(codes)
-        progress, last = np.divmod(codes, nseq)
-        # Buffer b takes every state of progress p to (p + e_b, b), so
-        # the states of one progress group compete for one successor
-        # per buffer: keep the cheapest, ties to the smallest mover.
-        # Its next slot depends on the group alone; a finished buffer's
-        # is a rest slot, and its successors are dropped below.
-        head = np.ones(n, dtype=bool)
-        np.not_equal(progress[1:], progress[:-1], out=head[1:])
-        group = np.cumsum(head) - 1
-        starts = np.flatnonzero(head)
-        ahead = progress[starts]
-        digits = ahead // stride_c % radix_c
-        nxt = key[row_base + digits]
-        w = costs + leg[pos - nxt[:, group]]
-        best = np.minimum.reduceat(w, starts, axis=1)
-        tied = np.where(w == best[:, group], last, nseq)
-        pred = np.minimum.reduceat(tied, starts, axis=1).ravel()
-        best = best.ravel()
-        succ = (nseq * (ahead + stride_c) + buffers).ravel()
-        kept = np.flatnonzero(digits < full)
-        if keep is not None and len(kept) > keep:
+    for stage in range(1, total_stages + 1):
+        digits = progress // stride_c % radix_c
+        slot = row_base + digits
+        # Buffer b takes every state of progress p to (p + e_b, b), at
+        # the least cost over whichever buffer moved last.  A finished
+        # buffer's next stop is a rest slot; its successors are dropped.
+        stop = key[slot + 1][:, None]
+        best = (cost + leg[center + key[slot] - stop]).min(axis=1).ravel()
+        succ = (progress + stride_c).ravel()
+        kept = np.flatnonzero((digits < full).ravel())
+        if keep is not None and stage > 1 and len(kept) > keep:
             # The keep cheapest successors, ties to the smaller code.
             cand = best[kept]
             thr = np.partition(cand, keep - 1)[keep - 1]
@@ -253,40 +243,50 @@ def merge_task_sequences(
             ties = np.flatnonzero(cand == thr)
             need = keep - np.count_nonzero(sel)
             if len(ties) > need:
-                ties = ties[np.argsort(succ[kept[ties]], kind="stable")[:need]]
+                tied = kept[ties]
+                codes = nseq * succ[tied] + tied // len(progress)
+                ties = ties[np.argsort(codes, kind="stable")[:need]]
             sel[ties] = True
             kept = kept[sel]
+        # Each buffer's successors are already in code order, so the
+        # stable sort only merges nseq sorted runs.
         kept = kept[np.argsort(succ[kept], kind="stable")]
-        codes = succ[kept]
-        costs = best[kept]
-        records.append((codes, pred[kept].astype(np.int8)))
-        pos = center + nxt.ravel()[kept]
+        ahead = succ[kept]
+        head = np.ones(len(kept), dtype=bool)
+        np.not_equal(ahead[1:], ahead[:-1], out=head[1:])
+        movers = kept // len(progress)
+        progress = ahead[head]
+        cost = np.full((nseq, len(progress)), np.inf)
+        cost[movers, np.cumsum(head) - 1] = best[kept]
+        stages.append((progress, cost))
 
-    totals = costs + leg[pos]
-    pick = int(np.argmin(totals))
-    travel = float(totals[pick])
+    # The last stage has one progress vector, every sequence done.
+    totals = cost[:, 0] + leg[center + key[row_base[:, 0] + lengths_a]]
+    last = int(np.argmin(totals))
+    travel = float(totals[last])
 
-    moves: list[int] = []
-    code = int(codes[pick])
-    for stage in range(total_stages - 1, -1, -1):
-        rec_codes, rec_preds = records[stage]
-        i = int(np.searchsorted(rec_codes, code))
-        t = code % nseq
-        moves.append(t)
-        pred = int(rec_preds[i])
-        if pred < 0:
-            break
-        code = pred + nseq * (code // nseq - stride[t])
-    moves.reverse()
-
+    # Walk back one state per stage: the predecessor of (p, last) is
+    # the first mover, in ascending order, whose cost plus the leg to
+    # last's stop is the state's cost, the sum the forward step took.
     merged: list[PickNSwap] = []
     labels: list[int] = []
-    cursor = [0] * nseq
-    for t in moves:
-        label, seq = active[t]
-        merged.append(seq[cursor[t]])
+    digit = list(lengths)
+    code = int(progress[0])
+    target = cost[last, 0]
+    for progress, cost in reversed(stages[:-1]):
+        digit[last] -= 1
+        label, seq = active[last]
+        merged.append(seq[digit[last]])
         labels.append(label)
-        cursor[t] += 1
+        code -= int(stride[last])
+        g = int(np.searchsorted(progress, code))
+        stop = key[last * width + digit[last] + 1]
+        for prev in range(nseq):
+            if cost[prev, g] + leg[center + key[prev * width + digit[prev]] - stop] == target:
+                break
+        last, target = prev, cost[prev, g]
+    merged.reverse()
+    labels.reverse()
 
     # A beam can in principle lose to the trivial order; never return
     # something worse than running the sequences back to back.

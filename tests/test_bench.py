@@ -166,6 +166,15 @@ class TestRunCase:
         assert row["valid"] == 0 and row["total"] == ""
         assert limit * 1000 <= row["wall_ms"] <= (limit + slack) * 1000
 
+    def test_mcts_give_up_row_is_not_a_timeout(self, monkeypatch):
+        # At 4 rollouts per commit the tree search commits its 64-action
+        # cap short of the goal on this row, in a few milliseconds.
+        arr = Arrangement.from_sequence([9, 10, 5, 6, 8, 7, 3, 2, 1, 4])
+        monkeypatch.setattr(bench, "build_instance", lambda dim, m, seed, trial, k: Instance(arr, k=k))
+        row = run_case(BenchCase(1, 10, 3, "mcts", trial=0, budget=4), base_seed=0)
+        assert row["error"] == "SearchGaveUp"
+        assert row["timeout"] == 0 and row["valid"] == 0 and row["total"] == ""
+
     def test_valid_row_has_no_error(self):
         row = run_case(BenchCase(1, 7, 1, "switch", trial=0), base_seed=3)
         assert row["error"] == ""

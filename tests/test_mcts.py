@@ -4,7 +4,7 @@ import statistics
 
 import pytest
 
-from latticeswap.errors import InvalidConfig
+from latticeswap.errors import InvalidConfig, PlanningTimeout, SearchGaveUp
 from latticeswap.lattice import Arrangement, random_arrangement
 from latticeswap.mcts import MctsConfig, _Node, plan_mcts, ucb_choice
 from latticeswap.plan import (
@@ -111,6 +111,14 @@ class TestPlanMcts:
     def test_zero_buffers_rejected(self):
         with pytest.raises(InvalidConfig):
             plan_mcts(random_arrangement(5, 0), k=0)
+
+    def test_give_up_at_the_commit_cap_is_not_a_timeout(self):
+        # At 8 rollouts per commit this row reaches the 64-action cap
+        # short of the goal, long before its 600 s clock runs out.
+        arr = Arrangement.from_sequence([9, 10, 5, 6, 8, 7, 3, 2, 1, 4])
+        with pytest.raises(SearchGaveUp, match="64 actions") as info:
+            plan_mcts(arr, 3, config=MctsConfig(budget=8, seed=0))
+        assert not isinstance(info.value, PlanningTimeout)
 
     def test_zero_budget_rejected(self):
         with pytest.raises(InvalidConfig):

@@ -217,6 +217,20 @@ class TestMergeSequences:
         assert travel == sequence_travel(merged, lat) == 2 * 19999
         assert (merged, labels, travel) == reference_merge(sequences, lat)
 
+    def test_beamed_merge_on_a_benchmark_board_stays_small(self):
+        # A 14x14 board of the dp-2d benchmark at k = 5: a beamed merge of
+        # about 4.3e8 states, each stage keeping a dense cost matrix by
+        # last mover (about 16 MB traced for the whole plan).
+        arr = random_arrangement(196, 1, (14, 14))
+        tracemalloc.start()
+        try:
+            plan = plan_multi_buffer_dp(arr, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 1024 * 1024
+        assert simulate(plan, arr, k=5).valid
+
     def test_beam_as_wide_as_the_states_is_exact(self):
         rng = random.Random(7)
         lat = Lattice((5, 6))

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latticeswap.bench import PLANNERS
-from latticeswap.errors import InvalidConfig, PlanningTimeout, SizeLimitExceeded
+from latticeswap.errors import InvalidConfig, PlanningTimeout, SearchGaveUp, SizeLimitExceeded
 from latticeswap.lattice import (
     EMPTY,
     Arrangement,
@@ -213,7 +213,7 @@ class TestCutBound:
         for algo in ("follow", "switch", "exact", "dp", "opt", "mcts"):
             try:
                 plan = PLANNERS[algo](arr, k, cp=1.0, ct=1.0, timeout_s=60.0, budget=16, seed=0)
-            except PlanningTimeout:
+            except SearchGaveUp:
                 # At a budget this low the tree search can commit its
                 # action cap before the goal; then there is no plan.
                 assert algo == "mcts"
