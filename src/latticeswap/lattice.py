@@ -26,7 +26,7 @@ import random
 import statistics
 from dataclasses import dataclass, fields
 from functools import lru_cache
-from typing import ClassVar, Iterable, Sequence
+from typing import Callable, ClassVar, Iterable, Sequence
 
 from .errors import InvalidArrangement, InvalidConfig
 
@@ -86,10 +86,13 @@ class Lattice:
     def distance(self, a: int, b: int) -> float:
         """Euclidean distance between two cell centers (unit spacing).
 
-        2D distances read the coordinate table shared by every lattice
-        of the same dims; cells outside the lattice raise ValueError.
+        :func:`leg_function` with both cells checked: cells outside the
+        lattice raise ValueError.  Written out rather than a call to it,
+        which would double the cost of each leg of ``search.leg_table``.
         """
         if len(self.dims) == 1:
+            if not (0 < a <= self.dims[0] and 0 < b <= self.dims[0]):
+                raise ValueError(f"cells {a}, {b} not both inside lattice of size {self.m}")
             return float(abs(a - b))
         rows, cols = coordinate_table(self.dims)
         if not (0 < a < len(rows) and 0 < b < len(rows)):
@@ -108,6 +111,30 @@ def coordinate_table(dims: tuple[int, int]) -> tuple[list[int], list[int]]:
     rows = [0] + [r for r in range(1, nrows + 1) for _ in range(ncols)]
     cols = [0] + list(range(1, ncols + 1)) * nrows
     return rows, cols
+
+
+@lru_cache(maxsize=None)
+def leg_function(dims: tuple[int, ...]) -> Callable[[int, int], float]:
+    """:meth:`Lattice.distance` without its range check, for the hot loops.
+
+    One function per dims, computed once and shared like
+    :func:`coordinate_table`.  The caller vouches for its cells: on a
+    board, cell 0 reads the table's placeholder and larger cells raise
+    IndexError or read another cell's row.
+    """
+    if len(dims) == 1:
+
+        def leg(a: int, b: int) -> float:
+            return float(abs(a - b))
+
+        return leg
+    rows, cols = coordinate_table(dims)
+    hypot = math.hypot
+
+    def leg(a: int, b: int) -> float:
+        return hypot(rows[a] - rows[b], cols[a] - cols[b])
+
+    return leg
 
 
 @lru_cache(maxsize=None)
@@ -141,8 +168,15 @@ class Arrangement:
             raise InvalidArrangement(
                 f"placement has {len(self.placement)} entries for a lattice of {m} cells"
             )
-        if sorted(self.placement) != list(range(1, m + 1)):
-            raise InvalidArrangement("placement is not a bijection onto labels 1..m")
+        seen = bytearray(m + 1)
+        for label in self.placement:
+            try:
+                fresh = 0 < label <= m and not seen[label]
+            except TypeError:  # a label that is not an integer
+                fresh = False
+            if not fresh:
+                raise InvalidArrangement("placement is not a bijection onto labels 1..m")
+            seen[label] = 1
 
     @classmethod
     def from_sequence(cls, placement: Iterable[int], dims: Sequence[int] | None = None) -> "Arrangement":
@@ -261,7 +295,8 @@ def decompose_cycles(arrangement: Arrangement) -> list[Cycle]:
     >>> [c.objects for c in decompose_cycles(arr)]
     [(1, 4), (2,), (3, 5)]
     """
-    m = arrangement.m
+    placement = arrangement.placement
+    m = len(placement)
     seen = [False] * (m + 1)
     cycles = []
     for start in range(1, m + 1):
@@ -272,7 +307,7 @@ def decompose_cycles(arrangement: Arrangement) -> list[Cycle]:
         while not seen[obj]:
             seen[obj] = True
             chain.append(obj)
-            obj = arrangement.at(obj)
+            obj = placement[obj - 1]
         cycles.append(Cycle(tuple(chain)))
     return cycles
 

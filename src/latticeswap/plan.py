@@ -18,16 +18,19 @@ of the tour through the action cells, rest to rest.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import InvalidInput, InvalidPlanStructure
-from .lattice import EMPTY, Arrangement, Lattice
+from .lattice import EMPTY, Arrangement, Lattice, leg_function
 
 
-@dataclass(frozen=True)
-class PickNSwap:
-    """One stop of the robot: deposit then pick at a single cell."""
+class PickNSwap(NamedTuple):
+    """One stop of the robot: deposit then pick at a single cell.
+
+    An immutable named tuple, so an action unpacks as
+    ``cell, deposit, pick``.
+    """
 
     cell: int
     deposit: int = EMPTY
@@ -71,7 +74,7 @@ class Plan:
     @property
     def n_swaps(self) -> int:
         """Number of pick-n-swap operations (no-op bookends excluded)."""
-        return sum(1 for a in self.actions if not a.is_noop)
+        return sum(1 for _, deposit, pick in self.actions if deposit != EMPTY or pick != EMPTY)
 
     def records(self) -> list[dict]:
         out = []
@@ -158,41 +161,41 @@ def simulate(plan: Plan, start: Arrangement, k: int = 1) -> SimulationResult:
     contents = list(start.placement)  # contents[c-1] = object in cell c, EMPTY if none
     held: set[int] = set()
     for idx in range(1, len(acts) - 1):
-        a = acts[idx]
-        if not 1 <= a.cell <= m:
-            return fail(f"cell {a.cell} outside the lattice", idx)
-        if a.is_noop:
+        cell, deposit, pick = acts[idx]
+        if not 1 <= cell <= m:
+            return fail(f"cell {cell} outside the lattice", idx)
+        if deposit == EMPTY and pick == EMPTY:
             return fail("no-op action in the interior of the plan", idx)
-        resident = contents[a.cell - 1]
-        if a.pick != EMPTY and a.pick != resident:
+        resident = contents[cell - 1]
+        if pick != EMPTY and pick != resident:
             return fail(
-                f"pick of {a.pick} at cell {a.cell} which holds "
+                f"pick of {pick} at cell {cell} which holds "
                 f"{'nothing' if resident == EMPTY else resident}",
                 idx,
             )
-        if a.deposit != EMPTY:
-            if a.deposit not in held:
-                return fail(f"deposit of {a.deposit} which is not in hand", idx)
-            if resident != EMPTY and a.pick == EMPTY:
-                return fail(f"deposit into occupied cell {a.cell} without picking", idx)
-        if a.pick != EMPTY and a.deposit == EMPTY and len(held) >= k:
-            return fail(f"pick at cell {a.cell} with all {k} buffers in use", idx)
+        if deposit != EMPTY:
+            if deposit not in held:
+                return fail(f"deposit of {deposit} which is not in hand", idx)
+            if resident != EMPTY and pick == EMPTY:
+                return fail(f"deposit into occupied cell {cell} without picking", idx)
+        if pick != EMPTY and deposit == EMPTY and len(held) >= k:
+            return fail(f"pick at cell {cell} with all {k} buffers in use", idx)
         # Deposit and pick are simultaneous: the freed slot may receive
         # the deposit while the resident moves to hand.
-        if a.pick != EMPTY:
-            held.add(a.pick)
-            contents[a.cell - 1] = EMPTY
-        if a.deposit != EMPTY:
-            held.discard(a.deposit)
-            contents[a.cell - 1] = a.deposit
+        if pick != EMPTY:
+            held.add(pick)
+            contents[cell - 1] = EMPTY
+        if deposit != EMPTY:
+            held.discard(deposit)
+            contents[cell - 1] = deposit
         if len(held) > k:
             return fail(f"holding {len(held)} objects with capacity {k}", idx)
 
     if held:
         return fail(f"objects {sorted(held)} still in hand at the end", len(acts) - 1)
-    final = tuple(contents)
-    if any(final[i] != i + 1 for i in range(m)):
+    if contents != list(range(1, m + 1)):
         return fail("final arrangement is not the goal", len(acts) - 1)
+    final = tuple(contents)
     return SimulationResult(True, final_placement=final)
 
 
@@ -218,13 +221,24 @@ class CostReport:
 
 
 def sequence_travel(actions: Sequence[PickNSwap], lattice: Lattice) -> float:
-    """Length of the tour through the actions' cells, rest to rest."""
+    """Length of the tour through the actions' cells, rest to rest.
+
+    Raises InvalidPlanStructure if an action names a cell outside the
+    lattice.
+    """
+    cells = [a.cell for a in actions]
+    if cells:
+        lo, hi = min(cells), max(cells)
+        if lo < 1 or hi > lattice.m:
+            bad = lo if lo < 1 else hi
+            raise InvalidPlanStructure(f"plan visits cell {bad} outside the lattice of {lattice.m} cells")
+    leg = leg_function(lattice.dims)
     total = 0.0
     pos = lattice.rest
-    for a in actions:
-        total += lattice.distance(pos, a.cell)
-        pos = a.cell
-    return total + lattice.distance(pos, lattice.rest)
+    for cell in cells:
+        total += leg(pos, cell)
+        pos = cell
+    return total + leg(pos, lattice.rest)
 
 
 def travel_distance(plan: Plan, lattice: Lattice) -> float:

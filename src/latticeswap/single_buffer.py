@@ -14,10 +14,21 @@ moment parked at the entry of each inner chain and recovered when that
 chain closes.  Relative to concatenation this saves exactly twice the
 distance from the rest cell to that rightmost cell, no matter what
 either plan looks like inside.
+
+Cost per plan, on n cells: ``switch`` on a row is O(n).  Each carried
+step finds its stop with a cursor that only moves right (see
+:func:`greedy_switch_actions`), and :func:`compose_group_actions`
+splices all groups in one pass.  ``2d-greedy`` tests every cell of
+every untouched cycle at each carried step and picks each chain's
+entry by a pass over the untouched cycles, so on a board with many
+small cycles it grows faster than linearly; once no cycle is untouched
+it costs O(1) per step.  Actions are :class:`~latticeswap.plan.PickNSwap`
+named tuples, unpacked as ``cell, deposit, pick`` in the hot loops.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Literal, Sequence
 
 from .errors import InvalidPlanStructure, PlanningTimeout, SizeLimitExceeded
@@ -27,6 +38,7 @@ from .lattice import (
     Cycle,
     Lattice,
     group_cycles,
+    leg_function,
     nontrivial_cycles,
     resident_map,
 )
@@ -77,41 +89,81 @@ def greedy_switch_actions(
     the tour stops at a cell of an untouched cycle whenever visiting it
     adds less than ``detour_slack`` travel, parking the carried object
     there and resolving the new cycle before resuming.
+
+    On a row with ``0 < detour_slack <= 2`` a cell passes the detour
+    test exactly when it lies strictly between the robot and the goal.
+    Starting from the rest cell at the left end, the tour then never
+    passes a cell of an untouched cycle, so all such cells lie right of
+    every cell visited so far.  The next stop is the nearer of the goal
+    and the leftmost such cell, found by a cursor that only moves right,
+    and "nearest" enters the same cycle as "canonical": the tour costs
+    O(n) on a span of n cells.  Elsewhere every cell of every untouched cycle is
+    tested at each carried step.
     """
     work = [c for c in cycles if not c.trivial]
     if not work:
         return []
-    content = resident_map(work)
-    cycle_at = {cell: j for j, c in enumerate(work) for cell in c.cells}
+    dist = leg_function(lattice.dims)
+    entries = [min(c.cells) for c in work]
+    # Lookups are lists over the cells' span, from cell base + 1 at slot
+    # 1; the last slot is a sentinel.
+    base = min(entries) - 1
+    size = max(max(c.cells) for c in work) - base + 2
+    content = [EMPTY] * size
+    cycle_at = [-1] * size
+    for j, c in enumerate(work):
+        objs = c.objects
+        for cell, obj in zip(objs, objs[1:] + objs[:1]):
+            content[cell - base] = obj
+            cycle_at[cell - base] = j
+    on_row = lattice.ndim == 1 and 0 < detour_slack <= 2
+    if on_row:
+        # The cells of untouched cycles, and the sentinel that ends the cursor.
+        live = bytearray(c >= 0 for c in cycle_at)
+        live[-1] = 1
+        frontier = 0
     untouched = set(range(len(work)))
-    dist = lattice.distance
 
     actions: list[PickNSwap] = []
     pos = lattice.rest
     held = EMPTY
-    entries = {j: min(work[j].cells) for j in range(len(work))}
-    queue = sorted(untouched, key=lambda j: entries[j])
+    queue = sorted(untouched, key=entries.__getitem__)
+    cursor = 0
     while untouched:
-        if order == "nearest":
+        if order == "nearest" and not on_row:
             j = min(untouched, key=lambda j: (dist(pos, entries[j]), entries[j]))
         else:
-            j = next(i for i in queue if i in untouched)
+            while queue[cursor] not in untouched:
+                cursor += 1
+            j = queue[cursor]
         target = entries[j]
         while True:
             if held != EMPTY:
                 target = held
-                en_route = [
-                    s
-                    for i in untouched
-                    for s in work[i].cells
-                    if dist(pos, s) + dist(s, target) - dist(pos, target) < detour_slack
-                ]
-                if en_route:
-                    target = min(en_route, key=lambda s: (dist(pos, s), s))
-            picked = content[target]
+                if untouched and on_row:
+                    while not live[frontier]:
+                        frontier += 1
+                    target = min(target, frontier + base)
+                elif untouched:
+                    direct = dist(pos, target)
+                    en_route = [
+                        s
+                        for i in untouched
+                        for s in work[i].cells
+                        if dist(pos, s) + dist(s, target) - direct < detour_slack
+                    ]
+                    if en_route:
+                        target = min(en_route, key=lambda s: (dist(pos, s), s))
+            slot = target - base
+            picked = content[slot]
             actions.append(PickNSwap(target, held, picked))
-            content[target] = held
-            untouched.discard(cycle_at[target])
+            content[slot] = held
+            j = cycle_at[slot]
+            if j in untouched:
+                untouched.remove(j)
+                if on_row:
+                    for cell in work[j].cells:
+                        live[cell - base] = 0
             pos, held = target, picked
             if held == EMPTY:
                 break
@@ -127,16 +179,41 @@ def greedy_tour_actions(cycles: Sequence[Cycle], lattice: Lattice) -> list[PickN
     return greedy_switch_actions(cycles, lattice, DETOUR_SLACK_2D, order="nearest")
 
 
-def _held_after(actions: Sequence[PickNSwap]) -> list[int]:
-    """Hand content after each action of a one-buffer action list."""
-    held = EMPTY
+def _hand_after(actions: Sequence[PickNSwap]) -> int:
+    """Hand content after a one-buffer action list, empty-handed before
+    it: set by its last action that is not a no-op."""
+    for _, deposit, pick in reversed(actions):
+        if pick != EMPTY:
+            return pick
+        if deposit != EMPTY:
+            return EMPTY
+    return EMPTY
+
+
+def _park_carried(inner: Sequence[PickNSwap], carried: int) -> list[PickNSwap]:
+    """``inner`` with ``carried`` parked at the entry of each chain and
+    recovered when that chain closes."""
+    if carried == EMPTY:
+        raise InvalidPlanStructure("outer plan holds nothing at its rightmost cell")
     out = []
-    for a in actions:
-        if a.pick != EMPTY:
-            held = a.pick
-        elif a.deposit != EMPTY:
+    held = EMPTY
+    opening = True
+    for a in inner:
+        cell, deposit, pick = a
+        if opening and deposit != EMPTY:
+            raise InvalidPlanStructure("inner chain does not begin with a bare pick")
+        if pick != EMPTY:
+            held = pick
+        elif deposit != EMPTY:
             held = EMPTY
-        out.append(held)
+        if held == EMPTY:
+            out.append(PickNSwap(cell, deposit, carried))
+            opening = True
+        elif opening:
+            out.append(PickNSwap(cell, carried, pick))
+            opening = False
+        else:
+            out.append(a)
     return out
 
 
@@ -148,38 +225,45 @@ def splice_actions(outer: list[PickNSwap], inner: list[PickNSwap]) -> list[PickN
     each inner chain and recovered when that chain closes, so capacity
     one is never exceeded and the swap count is the sum of the parts.
     """
-    if not outer:
-        return list(inner)
-    if not inner:
-        return list(outer)
-    rightmost = max(a.cell for a in outer)
-    at = next(i for i, a in enumerate(outer) if a.cell == rightmost)
-    carried = _held_after(outer[: at + 1])[-1]
-    if carried == EMPTY:
-        raise InvalidPlanStructure("outer plan holds nothing at its rightmost cell")
-
-    rewritten = list(inner)
-    hand = _held_after(inner)
-    tree_start = 0
-    for i, a in enumerate(rewritten):
-        if i == tree_start:
-            if a.deposit != EMPTY:
-                raise InvalidPlanStructure("inner chain does not begin with a bare pick")
-            rewritten[i] = PickNSwap(a.cell, carried, a.pick)
-        if hand[i] == EMPTY:
-            if a.pick != EMPTY:
-                raise InvalidPlanStructure("inner chain does not end with a bare deposit")
-            rewritten[i] = PickNSwap(a.cell, a.deposit, carried)
-            tree_start = i + 1
-    return outer[: at + 1] + rewritten + outer[at + 1 :]
+    return compose_group_actions([outer, inner])
 
 
 def compose_group_actions(per_group: Sequence[list[PickNSwap]]) -> list[PickNSwap]:
-    """Splice left-to-right group action sequences into one sequence."""
-    composed: list[PickNSwap] = []
+    """Splice left-to-right group action sequences into one sequence.
+
+    The same as folding :func:`splice_actions` over the groups, in one
+    pass.  The plan so far is kept as a head, which ends at the first
+    visit to its rightmost cell with ``carried`` in hand there, then
+    the latest block, then a stack of tail pieces.  Before the next
+    block goes in after the head, the latest block joins the tails
+    whole or, when it reaches further right, gives the head its part up
+    to its own first visit to its rightmost cell.  The last block is
+    never split, so a single group is copied as it is.
+    """
+    head: list[PickNSwap] = []
+    tails: list[Sequence[PickNSwap]] = []
+    latest: Sequence[PickNSwap] = ()
+    rightmost = carried = EMPTY
     for actions in per_group:
-        composed = splice_actions(composed, actions)
-    return composed
+        if not actions:
+            continue
+        if not latest:
+            latest = actions
+            continue
+        cells = [a.cell for a in latest]
+        top = max(cells)
+        if head and top <= rightmost:
+            tails.append(latest)
+        else:
+            at = cells.index(top) + 1
+            head.extend(latest[:at])
+            tails.append(latest[at:])
+            carried = _hand_after(head)
+            rightmost = top
+        latest = _park_carried(actions, carried)
+    head.extend(latest)
+    head.extend(chain.from_iterable(reversed(tails)))
+    return head
 
 
 def plan_cycle_switching(start: Arrangement) -> Plan:

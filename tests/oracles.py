@@ -2,7 +2,10 @@
 
 Everything here trades speed for obviousness: plain breadth-first or
 exhaustive enumeration over tiny instances, written independently of
-the package's search code so agreement is meaningful.
+the package's search code so agreement is meaningful.  The one-buffer
+tour references are the plain quadratic forms of the package's linear
+ones: a full scan of the untouched cells at every carried step, and a
+fold of whole-plan splices.
 """
 
 from __future__ import annotations
@@ -12,7 +15,8 @@ import math
 from collections import deque
 from typing import Iterable, Sequence
 
-from latticeswap.lattice import EMPTY, Arrangement, Lattice
+from latticeswap.errors import InvalidPlanStructure
+from latticeswap.lattice import EMPTY, Arrangement, Cycle, Lattice, resident_map
 from latticeswap.plan import PickNSwap
 
 
@@ -295,3 +299,98 @@ def largest_cycle_fraction_exact(m: int) -> float:
         total += max(sizes) / m
         count += 1
     return total / count
+
+
+def reference_greedy_switch_actions(
+    cycles: Sequence[Cycle], lattice: Lattice, detour_slack: float = 1e-9, order: str = "canonical"
+) -> list[PickNSwap]:
+    """``single_buffer.greedy_switch_actions`` by brute force: at every
+    carried step, scan every cell of every untouched cycle for the
+    detour test."""
+    work = [c for c in cycles if not c.trivial]
+    if not work:
+        return []
+    content = resident_map(work)
+    cycle_at = {cell: j for j, c in enumerate(work) for cell in c.cells}
+    untouched = set(range(len(work)))
+    dist = lattice.distance
+
+    actions: list[PickNSwap] = []
+    pos = lattice.rest
+    held = EMPTY
+    entries = {j: min(work[j].cells) for j in range(len(work))}
+    queue = sorted(untouched, key=lambda j: entries[j])
+    while untouched:
+        if order == "nearest":
+            j = min(untouched, key=lambda j: (dist(pos, entries[j]), entries[j]))
+        else:
+            j = next(i for i in queue if i in untouched)
+        target = entries[j]
+        while True:
+            if held != EMPTY:
+                target = held
+                en_route = [
+                    s
+                    for i in untouched
+                    for s in work[i].cells
+                    if dist(pos, s) + dist(s, target) - dist(pos, target) < detour_slack
+                ]
+                if en_route:
+                    target = min(en_route, key=lambda s: (dist(pos, s), s))
+            picked = content[target]
+            actions.append(PickNSwap(target, held, picked))
+            content[target] = held
+            untouched.discard(cycle_at[target])
+            pos, held = target, picked
+            if held == EMPTY:
+                break
+    return actions
+
+
+def _reference_held_after(actions: Sequence[PickNSwap]) -> list[int]:
+    held = EMPTY
+    out = []
+    for a in actions:
+        if a.pick != EMPTY:
+            held = a.pick
+        elif a.deposit != EMPTY:
+            held = EMPTY
+        out.append(held)
+    return out
+
+
+def reference_splice_actions(outer: list[PickNSwap], inner: list[PickNSwap]) -> list[PickNSwap]:
+    """``single_buffer.splice_actions`` with a replay of the whole outer
+    plan up to the insertion point."""
+    if not outer:
+        return list(inner)
+    if not inner:
+        return list(outer)
+    rightmost = max(a.cell for a in outer)
+    at = next(i for i, a in enumerate(outer) if a.cell == rightmost)
+    carried = _reference_held_after(outer[: at + 1])[-1]
+    if carried == EMPTY:
+        raise InvalidPlanStructure("outer plan holds nothing at its rightmost cell")
+
+    rewritten = list(inner)
+    hand = _reference_held_after(inner)
+    tree_start = 0
+    for i, a in enumerate(rewritten):
+        if i == tree_start:
+            if a.deposit != EMPTY:
+                raise InvalidPlanStructure("inner chain does not begin with a bare pick")
+            rewritten[i] = PickNSwap(a.cell, carried, a.pick)
+        if hand[i] == EMPTY:
+            if a.pick != EMPTY:
+                raise InvalidPlanStructure("inner chain does not end with a bare deposit")
+            rewritten[i] = PickNSwap(a.cell, a.deposit, carried)
+            tree_start = i + 1
+    return outer[: at + 1] + rewritten + outer[at + 1 :]
+
+
+def reference_compose_group_actions(per_group: Sequence[list[PickNSwap]]) -> list[PickNSwap]:
+    """``single_buffer.compose_group_actions`` as a fold of splices."""
+    composed: list[PickNSwap] = []
+    for actions in per_group:
+        composed = reference_splice_actions(composed, actions)
+    return composed

@@ -13,6 +13,7 @@ from latticeswap.lattice import (
     cycle_statistics,
     decompose_cycles,
     group_cycles,
+    leg_function,
     nontrivial_cycles,
     offset_table,
     random_arrangement,
@@ -92,6 +93,22 @@ class TestLattice:
             for b in range(1, lat.m + 1):
                 assert table[center + key(a) - key(b)] == lat.distance(a, b)
 
+    @pytest.mark.parametrize("dims", [(1, 5), (5, 1), (3, 4), (7,)])
+    def test_leg_function_equals_distance_on_every_pair(self, dims):
+        lat = Lattice(dims)
+        leg = leg_function(dims)
+        assert leg is leg_function(dims)
+        for a in range(1, lat.m + 1):
+            for b in range(1, lat.m + 1):
+                assert leg(a, b) == lat.distance(a, b)
+
+    def test_row_distance_rejects_cells_outside(self):
+        lat = Lattice((6,))
+        with pytest.raises(ValueError):
+            lat.distance(0, 3)
+        with pytest.raises(ValueError):
+            lat.distance(3, 7)
+
     def test_offset_table_shared_per_dims(self):
         assert offset_table((7, 9)) is offset_table((7, 9))
 
@@ -111,6 +128,11 @@ class TestArrangement:
             Arrangement.from_sequence([1, 1, 3])
         with pytest.raises(InvalidArrangement):
             Arrangement.from_sequence([0, 2, 3])
+
+    @pytest.mark.parametrize("placement", [[1, 2, 4], [3, 1, -1], [1, 2.5, 3], [2, None, 1]])
+    def test_bijection_rejects_out_of_range_and_non_integer_labels(self, placement):
+        with pytest.raises(InvalidArrangement, match="not a bijection"):
+            Arrangement.from_sequence(placement)
 
     def test_lookups(self):
         arr = Arrangement.from_sequence([2, 3, 1])

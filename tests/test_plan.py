@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latticeswap.errors import InvalidInput
+from latticeswap.errors import InvalidInput, InvalidPlanStructure
 from latticeswap.lattice import EMPTY, Arrangement, Lattice, random_arrangement
 from latticeswap.plan import (
     CostParams,
@@ -123,6 +123,14 @@ class TestCosts:
         assert report.swaps == 4
         assert report.total == 2.0 * 4 + 0.5 * report.travel
 
+    @pytest.mark.parametrize("dims", [(9,), (3, 3)])
+    def test_off_board_cells_rejected(self, dims):
+        lat = Lattice(dims)
+        for bad in (0, -1, lat.m + 1, 99):
+            plan = bracket([PickNSwap(2, EMPTY, 1), PickNSwap(bad, EMPTY, EMPTY)], lat)
+            with pytest.raises(InvalidPlanStructure, match=f"cell {bad} outside"):
+                evaluate_cost(plan, lat)
+
     def test_travel_rounds_to_six_decimals_in_dict(self):
         arr = random_arrangement(9, 0, (3, 3))
         plan = sorted_plan_for(arr)
@@ -130,6 +138,18 @@ class TestCosts:
         text = json.dumps(report.to_dict())
         travel = json.loads(text)["travel"]
         assert travel == round(report.travel, 6)
+
+
+class TestPickNSwap:
+    def test_named_tuple_fields_and_defaults(self):
+        a = PickNSwap(4, pick=2)
+        assert a == (4, EMPTY, 2)
+        cell, deposit, pick = a
+        assert (cell, deposit, pick) == (a.cell, a.deposit, a.pick) == (4, EMPTY, 2)
+        assert not a.is_noop and PickNSwap(4).is_noop
+        assert a.record(3, buffer=1) == {"index": 3, "cell": 4, "deposit": EMPTY, "pick": 2, "buffer": 1}
+        with pytest.raises(AttributeError):
+            a.cell = 5
 
 
 class TestMinSwapCount:

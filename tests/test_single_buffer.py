@@ -1,6 +1,7 @@
 """Single-buffer planners: following, switching, splicing, exact."""
 
 import itertools
+from time import perf_counter
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from latticeswap.errors import InvalidPlanStructure
 from latticeswap.lattice import (
     EMPTY,
     Arrangement,
+    Lattice,
     group_cycles,
     nontrivial_cycles,
     random_arrangement,
@@ -22,8 +24,11 @@ from latticeswap.plan import (
     simulate,
     travel_distance,
 )
+from latticeswap.multi_buffer import plan_multi_buffer_dp
 from latticeswap.search import SearchLimits, min_swap_astar
 from latticeswap.single_buffer import (
+    DETOUR_SLACK_2D,
+    ON_SEGMENT_SLACK,
     compose_group_actions,
     greedy_switch_actions,
     plan_cycle_following,
@@ -31,6 +36,11 @@ from latticeswap.single_buffer import (
     plan_single_buffer_2d,
     plan_single_buffer_exact,
     splice_actions,
+)
+from oracles import (
+    reference_compose_group_actions,
+    reference_greedy_switch_actions,
+    reference_splice_actions,
 )
 
 TWO_CYCLE_BOARD = [4, 2, 5, 1, 3]
@@ -222,3 +232,152 @@ class TestFallback:
         arr = Arrangement.from_sequence(TWO_CYCLE_BOARD)
         assert not plan_single_buffer_exact(arr).fallback
         assert not plan_cycle_switching(arr).fallback
+
+
+def adjacent_swap_row(m):
+    """Cells 2i - 1 and 2i swapped: m // 2 groups of one 2-cycle each."""
+    placement = list(range(1, m + 1))
+    for i in range(0, m - 1, 2):
+        placement[i], placement[i + 1] = placement[i + 1], placement[i]
+    return Arrangement.from_sequence(placement)
+
+
+def one_group_row(m):
+    """One group: a cycle through the left half and cell m, whose long
+    carry to cell m passes 2-cycles on every pair of the right half."""
+    half = m // 2
+    placement = [*range(2, half + 1), m, *range(half + 1, m)]
+    for c in range(half + 1, m - 1, 2):
+        placement[c - 1], placement[c] = c + 1, c
+    placement.append(1)
+    return Arrangement.from_sequence(placement)
+
+
+def outcome(fn, *args):
+    """The actions ``fn`` returns, or the message it raises."""
+    try:
+        return fn(*args)
+    except InvalidPlanStructure as exc:
+        return f"InvalidPlanStructure: {exc}"
+
+
+@st.composite
+def placements(draw, m):
+    """A uniformly shuffled placement of m objects, or one made of many
+    short cycles, where the nearest-first order and the switching rule
+    have more to choose from."""
+    cells = draw(st.permutations(list(range(1, m + 1))))
+    if draw(st.booleans()):
+        return cells
+    placement = [0] * m
+    at = 0
+    while at < m:
+        chain = cells[at : at + draw(st.integers(1, 3))]
+        at += len(chain)
+        for i, cell in enumerate(chain):
+            placement[cell - 1] = chain[(i + 1) % len(chain)]
+    return placement
+
+
+row_perms = st.integers(min_value=2, max_value=60).flatmap(placements)
+board_perms = st.tuples(st.integers(1, 7), st.integers(2, 7)).flatmap(
+    lambda dims: st.tuples(st.just(dims), placements(dims[0] * dims[1]))
+)
+slacks = st.sampled_from([0.0, ON_SEGMENT_SLACK, DETOUR_SLACK_2D, 2.0, 2.5, 4.5])
+orders = st.sampled_from(["canonical", "nearest"])
+# Chains of a one-buffer tour: a bare pick, swaps, a bare deposit.
+chains = st.lists(st.tuples(st.integers(1, 12), st.integers(1, 12)), min_size=2, max_size=5).map(
+    lambda stops: [
+        PickNSwap(cell, EMPTY if i == 0 else stops[i - 1][1], EMPTY if i == len(stops) - 1 else obj)
+        for i, (cell, obj) in enumerate(stops)
+    ]
+)
+action_lists = st.one_of(
+    st.lists(chains, max_size=3).map(lambda cs: [a for c in cs for a in c]),
+    st.lists(st.builds(PickNSwap, st.integers(1, 12), st.integers(0, 4), st.integers(0, 4)), max_size=6),
+)
+
+
+class TestAgainstReferences:
+    """The skip-pointer tours and the one-pass splice return the same
+    actions as the plain quadratic forms in ``oracles``."""
+
+    @given(row_perms, st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_rows_and_their_shares(self, perm, data):
+        arr = Arrangement.from_sequence(list(perm))
+        lattice = arr.lattice
+        cycles = nontrivial_cycles(arr)
+        keep = data.draw(st.lists(st.booleans(), min_size=len(cycles), max_size=len(cycles)))
+        share = [c for c, kept in zip(cycles, keep) if kept]
+        for scope in (cycles, share):
+            assert greedy_switch_actions(scope, lattice) == reference_greedy_switch_actions(scope, lattice)
+            per_group = [greedy_switch_actions(g.cycles, lattice) for g in group_cycles(scope, lattice)]
+            assert per_group == [
+                reference_greedy_switch_actions(g.cycles, lattice) for g in group_cycles(scope, lattice)
+            ]
+            assert compose_group_actions(per_group) == reference_compose_group_actions(per_group)
+
+    @given(row_perms, slacks, orders)
+    @settings(max_examples=150, deadline=None)
+    def test_rows_at_every_slack_and_order(self, perm, slack, order):
+        arr = Arrangement.from_sequence(list(perm))
+        cycles = nontrivial_cycles(arr)
+        assert greedy_switch_actions(cycles, arr.lattice, slack, order) == reference_greedy_switch_actions(
+            cycles, arr.lattice, slack, order
+        )
+
+    @given(board_perms, slacks, orders)
+    @settings(max_examples=100, deadline=None)
+    def test_boards(self, board, slack, order):
+        dims, perm = board
+        arr = Arrangement(Lattice(dims), tuple(perm))
+        cycles = nontrivial_cycles(arr)
+        assert greedy_switch_actions(cycles, arr.lattice, slack, order) == reference_greedy_switch_actions(
+            cycles, arr.lattice, slack, order
+        )
+
+    @pytest.mark.parametrize("m", [300, 1000])
+    def test_larger_random_and_structured_rows(self, m):
+        rows = [random_arrangement(m, seed) for seed in range(3)] + [adjacent_swap_row(m), one_group_row(m)]
+        for arr in rows:
+            lattice = arr.lattice
+            groups = group_cycles(nontrivial_cycles(arr), lattice)
+            per_group = [greedy_switch_actions(g.cycles, lattice) for g in groups]
+            reference = [reference_greedy_switch_actions(g.cycles, lattice) for g in groups]
+            assert per_group == reference
+            assert compose_group_actions(per_group) == reference_compose_group_actions(reference)
+
+    @given(st.lists(action_lists, max_size=5))
+    @settings(max_examples=300, deadline=None)
+    def test_compose_on_arbitrary_inputs(self, per_group):
+        assert outcome(compose_group_actions, per_group) == outcome(reference_compose_group_actions, per_group)
+
+    @given(action_lists, action_lists)
+    @settings(max_examples=200, deadline=None)
+    def test_splice_on_arbitrary_inputs(self, outer, inner):
+        assert outcome(splice_actions, outer, inner) == outcome(reference_splice_actions, outer, inner)
+
+
+class TestLinearTime:
+    """Rows on which a pass per carried step or per group is quadratic.
+    The bounds are generous: a linear pass needs a fraction of them,
+    and the quadratic forms need over ten times as long."""
+
+    def timed(self, planner, arr, k=1):
+        t0 = perf_counter()
+        plan = planner(arr)
+        elapsed = perf_counter() - t0
+        assert simulate(plan, arr, k).valid
+        return elapsed
+
+    def test_switch_on_adjacent_swaps(self):
+        assert self.timed(plan_cycle_switching, adjacent_swap_row(20_000)) < 1.5
+
+    def test_dp_on_adjacent_swaps(self):
+        assert self.timed(lambda arr: plan_multi_buffer_dp(arr, 2), adjacent_swap_row(20_000), k=2) < 3.0
+
+    def test_switch_on_one_group(self):
+        arr = one_group_row(10_000)
+        assert len(group_cycles(nontrivial_cycles(arr), arr.lattice)) == 1
+        assert self.timed(plan_cycle_switching, arr) < 1.0
