@@ -28,10 +28,7 @@ class SizeLimitExceeded(LatticeSwapError):
 
 
 class MergeStateLimit(LatticeSwapError):
-    """Merge DP state count exceeds the configured guard.
-
-    Retry with fewer buffers, a smaller instance, or a beam width.
-    """
+    """Merge DP state codes would overflow int64: use fewer buffers or a smaller instance."""
 
 
 class PlanningTimeout(LatticeSwapError):

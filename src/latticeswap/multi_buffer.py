@@ -156,7 +156,7 @@ def merge_task_sequences(
     sequences: Sequence[Sequence[PickNSwap]],
     lattice: Lattice,
     exact_states: int = MERGE_EXACT_STATES,
-    beam_width: int | None = MERGE_BEAM,
+    beam_width: int = MERGE_BEAM,
 ) -> tuple[list[PickNSwap], tuple[int, ...], float]:
     """Interleave per-buffer action sequences to minimize travel.
 
@@ -166,9 +166,8 @@ def merge_task_sequences(
 
     The DP is exact while (number of sequences) * prod(len + 1) stays
     within ``exact_states``; past that it keeps the ``beam_width``
-    cheapest states per stage, or raises MergeStateLimit when beaming
-    is disabled.  It also raises MergeStateLimit, before any stage,
-    when the state codes below would not fit in int64.
+    cheapest states per stage.  It raises MergeStateLimit, before any
+    stage, when the state codes below would not fit in int64.
 
     Ties are broken the same way on every path, so the result is a
     function of the inputs alone: a state keeps its cheapest
@@ -193,8 +192,6 @@ def merge_task_sequences(
     states = nseq * math.prod(x + 1 for x in lengths)
     if states > np.iinfo(np.int64).max:
         raise MergeStateLimit(f"{states} interleaving states overflow the int64 state codes")
-    if states > exact_states and beam_width is None:
-        raise MergeStateLimit(f"{states} interleaving states exceed the exact cap of {exact_states}")
     keep = None if states <= exact_states else beam_width
 
     lengths_a = np.asarray(lengths, dtype=np.int64)

@@ -19,10 +19,10 @@ Its scope is every cell of the board, so position ``p`` is cell
 search's leg table (``search.leg_table``), bound and goal test: its
 step costs read the table, and its bound is ``c_p * unresolved + c_t *
 travel``, where every unresolved cell needs one more operation and the
-travel bound is the swap-minimal search's own, ``search.state_bound``:
-the cut-flow bound on rows, which holds for any plan, and "farthest
-unresolved cell, then home" on 2D boards.  Both planners return through
-``plan.bracket``, with buffer slots from ``search.assign_buffers``.
+travel bound is the cut-flow bound ``search.state_bound``, on the row
+or on a board's two axis projections, which holds for any k-buffer
+plan.  Both planners return through ``plan.bracket``, with buffer
+slots from ``search.assign_buffers``.
 """
 
 from __future__ import annotations
@@ -98,7 +98,7 @@ def plan_optimal_unrestricted(
     n = len(cells)
     goal = tuple(range(n))
     legs = leg_table(lattice, cells)
-    reach = state_bound(lattice, legs, k)
+    reach = state_bound(lattice, cells, k)
 
     def heuristic(state) -> float:
         return params.c_p * sum(map(ne, state[2], goal)) + params.c_t * reach(state)

@@ -12,15 +12,16 @@ exactly the executions of the small action system below.
 
 Because the swap count is fixed across this space, finding the best
 swap-minimal plan reduces to minimizing travel.  ``min_swap_astar``
-runs A* over (position, held objects, cell contents).  On a row its
-heuristic is the cut-flow bound ``cut_bound``: every gap between two
-neighbouring cells is crossed at least twice per ``k`` objects that
-must cross it, and at least twice while an unresolved cell lies beyond
-it (one-object robot-arm travel on a line is the setting of Atallah &
-Kosaraju, SIAM J. Comput. 1988).  On 2D boards it is ``far_bound``,
-"farthest unresolved cell, then home".  The same bound at the start
-state, ``travel_lower_bound``, is LB_k, a travel certificate for every
-plan on a row.
+runs A* over (position, held objects, cell contents).  Its heuristic is
+the cut-flow bound ``state_bound``.  On a row it is ``cut_bound``:
+every gap between two neighbouring cells is crossed at least twice per
+``k`` objects that must cross it, and at least twice while an
+unresolved cell lies beyond it (one-object robot-arm travel on a line
+is the setting of Atallah & Kosaraju, SIAM J. Comput. 1988).  On a
+board it is the same bound on each axis's projection of the scope,
+``projected_bound``, combined as ``max(Lx, Ly, (Lx + Ly) / sqrt(2))``.
+The bound at the start state, ``travel_lower_bound``, is LB_k, a
+travel certificate for every plan on a row or a board.
 
 The package's one (position, hand, contents) state kernel lives here,
 on scope positions rather than cell labels: the n cells in scope are
@@ -34,11 +35,11 @@ cycles and adds the goal drops; the unrestricted oracle and ``plan_mcts``
 use ``enumerate_actions``.  Three things keep a push cheap:
 
 - ``leg_table`` computes every leg between two positions once per
-  search, ``(n+1)**2`` distance calls in all, and every step cost and
-  bound reads it.
-- ``cut_bound`` takes one difference array over the gaps per state, and
-  ``far_bound`` reads a farthest-first list per position, worked out
-  once per search.
+  search, ``(n+1)**2`` distance calls in all, and every step cost
+  reads it.
+- ``cut_bound`` takes one difference array over the gaps per state; on
+  a board each axis first renames the state by its rank order, worked
+  out once per search.
 - A state also carries a bitmask of the cycles already touched.  A
   touched cycle never shows its original residents again, so the mask
   is a function of the contents and the states are the same as without
@@ -49,19 +50,20 @@ oracle's unrestricted search both run on it, each supplying its own
 successor function.  It reopens a state whose cost improves, so an
 admissible bound that is not consistent still gives an optimal plan.
 Both searches take their legs from ``leg_table``, their bound from
-``state_bound`` (``cut_bound`` on rows, ``far_bound`` on boards) and
-their goal test from ``goal_test``, which ``plan_mcts`` uses too.
+``state_bound`` and their goal test from ``goal_test``, which
+``plan_mcts`` uses too.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Any, Callable, Hashable, Iterable, Sequence
 
 from .errors import InvalidConfig, PlanningTimeout, SizeLimitExceeded
-from .lattice import EMPTY, Cycle, Lattice, resident_map
+from .lattice import EMPTY, Cycle, Lattice, coordinate_table, resident_map
 from .plan import PickNSwap
 
 
@@ -142,33 +144,6 @@ def leg_table(lattice: Lattice, cells: Sequence[int]) -> list[list[float]]:
     return [[dist(a, b) for b in points] for a in points]
 
 
-def far_bound(legs: list[list[float]]) -> Callable[[tuple], float]:
-    """The bound "farthest unresolved cell, then home" on ``leg_table``'s
-    legs, for a state whose entry 0 is the position and entry 2 the
-    contents.
-
-    Each position gets a list, worked out once: every cell with its leg
-    from that position plus its leg home, farthest first, so the bound
-    stops at the first unresolved entry and takes the larger of it and
-    the leg home.
-    """
-    n = len(legs) - 1
-    far = [
-        sorted(((i, row[i] + legs[i][n]) for i in range(n)), key=lambda e: e[1], reverse=True)
-        for row in legs
-    ]
-
-    def bound(state) -> float:
-        p, contents = state[0], state[2]
-        home = legs[p][n]
-        for i, reach in far[p]:
-            if contents[i] != i:
-                return reach if reach > home else home
-        return home
-
-    return bound
-
-
 def cut_bound(widths: Sequence[float], k: int) -> Callable[[tuple], float]:
     """The cut-flow bound on a row, for a state whose entries 0, 1 and 2
     are the position, the hand and the contents.
@@ -185,8 +160,7 @@ def cut_bound(widths: Sequence[float], k: int) -> Callable[[tuple], float]:
     gap, one more crossing goes left than right, since the robot ends at
     the rest cell: at least ``2 * ceil(R/k) + 1``.  The bound is the sum
     of width times crossings.  It is admissible for any plan with ``k``
-    buffers, swap-minimal or not, and on a row never below
-    ``far_bound``.
+    buffers, swap-minimal or not.
 
     The L objects that cross the other way add nothing.  Every state
     the kernel reaches has as many empty cells as held objects, at most
@@ -228,34 +202,63 @@ def cut_bound(widths: Sequence[float], k: int) -> Callable[[tuple], float]:
     return bound
 
 
+def projected_bound(
+    cells: Sequence[int], coord: Sequence[int], rest: int, k: int
+) -> Callable[[tuple], float]:
+    """``cut_bound`` on one axis of a board, where ``coord[cell]`` is
+    the cell's coordinate and the rest cell lies at or left of every
+    cell.  The scope positions are ranked by coordinate, cells sharing
+    one across width-0 gaps, and a state is renamed by rank; position
+    ``n`` keeps its name.  The bound counts only the objects on each
+    side of a cut, so it holds for any cut, and a leg is at least as
+    long as its projection."""
+    n = len(cells)
+    order = sorted(range(n), key=lambda i: coord[cells[i]])
+    rank = [0] * (n + 1)
+    for r, i in enumerate((*order, n)):
+        rank[i] = r
+    line = [coord[rest], *(coord[cells[i]] for i in order)]
+    bound = cut_bound([float(b - a) for a, b in zip(line, line[1:])], k)
+
+    def projected(state) -> float:
+        contents = [0] * n
+        for i, o in enumerate(state[2]):
+            contents[rank[i]] = rank[o]
+        return bound((rank[state[0]], [rank[h] for h in state[1]], contents))
+
+    return projected
+
+
+def state_bound(lattice: Lattice, cells: Sequence[int], k: int) -> Callable[[tuple], float]:
+    """The cut-flow bound on the scope positions of ``cells``: the
+    searches' heuristic and, at the start state, LB_k.  On a row it is
+    ``cut_bound``.  On a board a leg is at least its column offset, its
+    row offset and their sum over sqrt(2), so it is ``max(Lx, Ly, (Lx +
+    Ly) / sqrt(2))`` of the two axes' ``projected_bound``."""
+    if lattice.ndim == 1:
+        return cut_bound([float(b - a) for a, b in zip((lattice.rest, *cells), cells)], k)
+    rows, cols = coordinate_table(lattice.dims)
+    across, down = (projected_bound(cells, axis, lattice.rest, k) for axis in (cols, rows))
+
+    def bound(state) -> float:
+        x, y = across(state), down(state)
+        return max(x, y, (x + y) / math.sqrt(2.0))
+
+    return bound
+
+
 def travel_lower_bound(lattice: Lattice, cycles: Sequence[Cycle], k: int) -> float:
     """LB_k, a lower bound on the travel of every plan, swap-minimal or
-    not, that puts the objects of ``cycles`` on a row in place with
-    ``k`` buffers.
-
-    It is ``cut_bound`` at the start state of the cycles' scope, in
-    O(n log n) on n scope cells and with no leg table, so it can
-    certify a plan on any row.  Raises InvalidConfig for ``k < 1`` or a
-    2D lattice.
-    """
+    not, that puts the objects of ``cycles`` in place with ``k`` buffers:
+    ``state_bound`` at the start state of the cycles' scope, in O(n log
+    n) on n scope cells, on a row or a board.  Raises InvalidConfig for
+    ``k < 1``."""
     if k < 1:
         raise InvalidConfig(f"need at least one buffer, got k={k}")
-    if lattice.ndim != 1:
-        raise InvalidConfig(f"the cut-flow bound is defined on rows, got dims={lattice.dims}")
     work = [c for c in cycles if not c.trivial]
     cells = sorted(cell for c in work for cell in c.cells)
-    widths = [lattice.distance(a, b) for a, b in zip((lattice.rest, *cells), cells)]
-    n = len(cells)
-    return cut_bound(widths, k)((n, (), scope_contents(cells, resident_map(work))))
-
-
-def state_bound(lattice: Lattice, legs: list[list[float]], k: int) -> Callable[[tuple], float]:
-    """The searches' travel heuristic on ``leg_table``'s legs:
-    ``cut_bound`` on a row, ``far_bound`` on a 2D board."""
-    if lattice.ndim == 1:
-        # Gap 0 is legs[-1][0], the leg from the rest cell to position 0.
-        return cut_bound([legs[g - 1][g] for g in range(len(legs) - 1)], k)
-    return far_bound(legs)
+    start = (len(cells), (), scope_contents(cells, resident_map(work)))
+    return state_bound(lattice, cells, k)(start)
 
 
 def goal_test(n: int) -> Callable[[tuple], bool]:
@@ -401,7 +404,7 @@ def min_swap_astar(
             yield (h, nh, nc, touched), row[h], act
 
     start = (n, (), scope_contents(cells, resident_map(work)), 0)
-    acts = _astar(start, expand, state_bound(lattice, legs, k), goal_test(n), limits.timeout_s)
+    acts = _astar(start, expand, state_bound(lattice, cells, k), goal_test(n), limits.timeout_s)
     return label_actions(acts, cells)
 
 

@@ -150,6 +150,42 @@ def state_cut_bound(cells: Sequence[int], rest: int, k: int, state: tuple) -> fl
     return total
 
 
+def state_projection_bound(lattice: Lattice, cells: Sequence[int], k: int, state: tuple) -> float:
+    """The board form of the cut-flow bound by its definition: one gap
+    between neighbouring distinct coordinates of the rest cell and
+    ``cells`` at a time, on each axis separately, with R, L and U
+    counted as in ``state_cut_bound``.  The two axes' sums Lx and Ly
+    combine as ``max(Lx, Ly, (Lx + Ly) / sqrt(2))``, since a leg is at
+    least its longer offset and at least its offsets' sum over sqrt(2).
+    """
+    pos, held, contents = state[0], state[1], state[2]
+    n = len(cells)
+    robot = cells[pos] if pos < n else lattice.rest
+    at = {obj: cells[i] for i, obj in enumerate(contents) if obj != n}
+    at.update((obj, robot) for obj in held)
+    sums = []
+    for axis in range(2):
+
+        def x(cell: int) -> int:
+            return lattice.coords(cell)[axis]
+
+        points = sorted({x(lattice.rest), *(x(cell) for cell in cells)})
+        total = 0.0
+        for lo, hi in zip(points, points[1:]):
+            r = sum(1 for obj, cell in at.items() if x(cell) <= lo and x(cells[obj]) >= hi)
+            left = sum(1 for obj, cell in at.items() if x(cell) >= hi and x(cells[obj]) <= lo)
+            u = any(contents[i] != i for i in range(n) if x(cells[i]) >= hi)
+            a, b = math.ceil(r / k), math.ceil(left / k)
+            if x(robot) <= lo:
+                crossings = 2 * max(a, b, int(u))
+            else:
+                crossings = max(2 * a + 1, 2 * b - 1, 1)
+            total += (hi - lo) * crossings
+        sums.append(total)
+    across, down = sums[1], sums[0]
+    return max(across, down, (across + down) / math.sqrt(2.0))
+
+
 def exhaustive_interleave_travel(
     sequences: Sequence[Sequence[PickNSwap]], lattice: Lattice
 ) -> float:

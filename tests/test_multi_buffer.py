@@ -243,13 +243,7 @@ class TestMergeSequences:
             wide = merge_task_sequences(sequences, lat, exact_states=1, beam_width=states)
             assert wide == merge_task_sequences(sequences, lat)
 
-    def test_state_cap_without_beam(self):
-        lat = Lattice((9,))
-        sequences = [[visit(c) for c in (1, 2, 3)] for _ in range(3)]
-        with pytest.raises(MergeStateLimit):
-            merge_task_sequences(sequences, lat, exact_states=10, beam_width=None)
-
-    @pytest.mark.parametrize("beam_width", [MERGE_BEAM, None])
+    @pytest.mark.parametrize("beam_width", [MERGE_BEAM])
     def test_state_codes_past_int64_rejected(self, beam_width):
         # Eight 250-action sequences: 8 * 251**8 states, over 2**63, so
         # the packed state codes would wrap.  The guard fires before any

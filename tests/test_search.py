@@ -30,15 +30,13 @@ from latticeswap.search import (
     apply_action,
     assign_buffers,
     enumerate_actions,
-    far_bound,
-    leg_table,
     min_swap_astar,
     scope_contents,
     state_bound,
     travel_lower_bound,
 )
 from latticeswap.single_buffer import plan_cycle_switching
-from oracles import brute_min_travel, state_cut_bound
+from oracles import brute_min_travel, state_cut_bound, state_projection_bound
 
 
 def solve(arr, k=1, limits=SearchLimits()):
@@ -172,11 +170,17 @@ def draw_row(data, max_m=12):
     return Arrangement.from_sequence(placement)
 
 
+def draw_board(data):
+    dims = data.draw(st.sampled_from([(2, 3), (3, 3), (2, 4), (3, 4)]), label="dims")
+    placement = data.draw(st.permutations(list(range(1, math.prod(dims) + 1))), label="placement")
+    return Arrangement.from_sequence(placement, dims)
+
+
 def path_states(arr, plan):
     """The search state before each act of ``plan`` and after the last,
     on the scope positions ``min_swap_astar`` uses, each with the
-    plan's travel from there on.  Returns the scope cells, their legs
-    and the states."""
+    plan's travel from there on.  Returns the scope cells and the
+    states."""
     cycles = nontrivial_cycles(arr)
     cells = sorted(cell for c in cycles for cell in c.cells)
     n = len(cells)
@@ -197,31 +201,60 @@ def path_states(arr, plan):
         contents, held = apply_action(state[2], state[1], act, n)
         state = (act[0], held, contents)
     path.append((state, remaining))
-    return cells, leg_table(arr.lattice, cells), path
+    return cells, path
+
+
+def assert_static_bound_below_plans(arr, k, algos):
+    cycles = nontrivial_cycles(arr)
+    for algo in algos:
+        try:
+            plan = PLANNERS[algo](arr, k, cp=1.0, ct=1.0, timeout_s=60.0, budget=16, seed=0)
+        except SearchGaveUp:
+            # At a budget this low the tree search can commit its
+            # action cap before the goal; then there is no plan.
+            assert algo == "mcts"
+            continue
+        buffers = 1 if algo in ("follow", "switch", "exact", "2d-greedy") else k
+        assert simulate(plan, arr, k=buffers).valid
+        bound = travel_lower_bound(arr.lattice, cycles, buffers)
+        assert bound <= travel_distance(plan, arr.lattice) + 1e-9, algo
+
+
+def assert_state_bound_admissible(arr, k, reference):
+    """At every state an ``opt``, ``dp``, unrestricted (m <= 8, k <= 2)
+    and, on a board, ``exact`` plan passes through, the state form
+    equals ``reference`` and is at most the plan's remaining travel."""
+    algos = ("opt", "dp") if arr.lattice.ndim == 1 else ("opt", "dp", "exact")
+    plans = [PLANNERS[algo](arr, k, timeout_s=60.0) for algo in algos]
+    if arr.m <= (7 if arr.lattice.ndim == 1 else 8) and k <= 2:
+        plans.append(plan_optimal_unrestricted(arr, k, CostParams(1.0, 1.0)))
+    for plan in plans:
+        cells, path = path_states(arr, plan)
+        bound = state_bound(arr.lattice, cells, k)
+        for state, remaining in path:
+            assert bound(state) == reference(arr.lattice, cells, k, state)
+            assert bound(state) <= remaining + 1e-9
 
 
 class TestCutBound:
-    """The cut-flow bound on rows: the static form LB_k and the state
-    form that ``min_swap_astar`` and the unrestricted oracle use."""
+    """The cut-flow bound: the static form LB_k and the state form that
+    ``min_swap_astar`` and the unrestricted oracle use, on rows and, as
+    the axis projections, on boards."""
 
     @given(st.data())
     @settings(max_examples=100, deadline=None)
     def test_static_bound_is_below_every_plan(self, data):
         arr = draw_row(data)
         k = data.draw(st.integers(1, 3), label="k")
-        cycles = nontrivial_cycles(arr)
-        for algo in ("follow", "switch", "exact", "dp", "opt", "mcts"):
-            try:
-                plan = PLANNERS[algo](arr, k, cp=1.0, ct=1.0, timeout_s=60.0, budget=16, seed=0)
-            except SearchGaveUp:
-                # At a budget this low the tree search can commit its
-                # action cap before the goal; then there is no plan.
-                assert algo == "mcts"
-                continue
-            buffers = 1 if algo in ("follow", "switch", "exact") else k
-            assert simulate(plan, arr, k=buffers).valid
-            bound = travel_lower_bound(arr.lattice, cycles, buffers)
-            assert bound <= travel_distance(plan, arr.lattice) + 1e-9, algo
+        assert_static_bound_below_plans(arr, k, ("follow", "switch", "exact", "dp", "opt", "mcts"))
+
+    @given(st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_static_bound_is_below_every_plan_on_boards(self, data):
+        arr = draw_board(data)
+        k = data.draw(st.integers(1, 3), label="k")
+        algos = ("follow", "switch", "2d-greedy", "exact", "dp", "opt", "mcts")
+        assert_static_bound_below_plans(arr, k, algos)
 
     @given(st.data())
     @settings(max_examples=100, deadline=None)
@@ -233,7 +266,7 @@ class TestCutBound:
         k = data.draw(st.integers(1, 3), label="k")
         m = arr.m
         row = range(1, m + 1)
-        whole = state_bound(arr.lattice, leg_table(arr.lattice, row), k)
+        whole = state_bound(arr.lattice, row, k)
 
         def start(placement):
             return (m, (), tuple(obj - 1 for obj in placement))
@@ -256,20 +289,25 @@ class TestCutBound:
     @given(st.data())
     @settings(max_examples=100, deadline=None)
     def test_state_bound_is_admissible_along_plans(self, data):
-        """At every state an ``opt``, ``dp`` or unrestricted plan passes
-        through, the state form equals its per-gap definition, is at
-        least ``far_bound`` and is at most the plan's remaining travel."""
         arr = draw_row(data)
         k = data.draw(st.integers(1, 3), label="k")
-        plans = [PLANNERS[algo](arr, k, timeout_s=60.0) for algo in ("opt", "dp")]
-        if arr.m <= 7 and k <= 2:
-            plans.append(plan_optimal_unrestricted(arr, k, CostParams(1.0, 1.0)))
-        for plan in plans:
-            cells, legs, path = path_states(arr, plan)
-            cut, far = state_bound(arr.lattice, legs, k), far_bound(legs)
-            for state, remaining in path:
-                assert cut(state) == state_cut_bound(cells, arr.lattice.rest, k, state)
-                assert far(state) <= cut(state) <= remaining + 1e-9
+        assert_state_bound_admissible(
+            arr, k, lambda lattice, cells, k, state: state_cut_bound(cells, lattice.rest, k, state)
+        )
+
+    @given(st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_state_bound_is_admissible_along_plans_on_boards(self, data):
+        """Also checks that ``travel_lower_bound`` is the reference at
+        the start state."""
+        arr = draw_board(data)
+        k = data.draw(st.integers(1, 3), label="k")
+        assert_state_bound_admissible(arr, k, state_projection_bound)
+        cycles = nontrivial_cycles(arr)
+        cells = sorted(cell for c in cycles for cell in c.cells)
+        start = (len(cells), (), scope_contents(cells, resident_map(cycles)))
+        lb = travel_lower_bound(arr.lattice, cycles, k)
+        assert lb == state_projection_bound(arr.lattice, cells, k, start)
 
     @given(st.data())
     @settings(max_examples=300, deadline=None)
@@ -279,13 +317,11 @@ class TestCutBound:
         bound = travel_lower_bound(arr.lattice, nontrivial_cycles(arr), 1)
         assert travel_distance(plan, arr.lattice) == bound
 
-    def test_rows_only(self):
-        arr = random_arrangement(6, 0, dims=(2, 3))
-        with pytest.raises(InvalidConfig):
-            travel_lower_bound(arr.lattice, nontrivial_cycles(arr), 1)
-        row = random_arrangement(6, 0)
-        with pytest.raises(InvalidConfig):
-            travel_lower_bound(row.lattice, nontrivial_cycles(row), 0)
+    def test_needs_a_buffer(self):
+        for dims in ((6,), (2, 3)):
+            arr = random_arrangement(6, 0, dims=dims)
+            with pytest.raises(InvalidConfig):
+                travel_lower_bound(arr.lattice, nontrivial_cycles(arr), 0)
 
 
 class TestStateKernel:
