@@ -87,17 +87,12 @@ class Lattice:
         """Euclidean distance between two cell centers (unit spacing).
 
         :func:`leg_function` with both cells checked: cells outside the
-        lattice raise ValueError.  Written out rather than a call to it,
-        which would double the cost of each leg of ``search.leg_table``.
+        lattice raise ValueError.  No hot loop calls it; they check once
+        and call ``leg_function``, as ``search.leg_table`` does.
         """
-        if len(self.dims) == 1:
-            if not (0 < a <= self.dims[0] and 0 < b <= self.dims[0]):
-                raise ValueError(f"cells {a}, {b} not both inside lattice of size {self.m}")
-            return float(abs(a - b))
-        rows, cols = coordinate_table(self.dims)
-        if not (0 < a < len(rows) and 0 < b < len(rows)):
+        if not (0 < a <= self.m and 0 < b <= self.m):
             raise ValueError(f"cells {a}, {b} not both inside lattice of size {self.m}")
-        return math.hypot(rows[a] - rows[b], cols[a] - cols[b])
+        return leg_function(self.dims)(a, b)
 
 
 @lru_cache(maxsize=None)

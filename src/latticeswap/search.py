@@ -35,8 +35,7 @@ cycles and adds the goal drops; the unrestricted oracle and ``plan_mcts``
 use ``enumerate_actions``.  Three things keep a push cheap:
 
 - ``leg_table`` computes every leg between two positions once per
-  search, ``(n+1)**2`` distance calls in all, and every step cost
-  reads it.
+  search, after one range check, and every step cost reads it.
 - ``cut_bound`` takes one difference array over the gaps per state; on
   a board each axis first renames the state by its rank order, worked
   out once per search.
@@ -48,7 +47,9 @@ use ``enumerate_actions``.  Three things keep a push cheap:
 ``_astar`` is the package's one A* loop: ``min_swap_astar`` and the
 oracle's unrestricted search both run on it, each supplying its own
 successor function.  It reopens a state whose cost improves, so an
-admissible bound that is not consistent still gives an optimal plan.
+admissible bound that is not consistent still gives an optimal plan,
+and among states of equal ``g + h`` it expands the deeper one first,
+which walks a tight bound's plateaus depth-first.
 Both searches take their legs from ``leg_table``, their bound from
 ``state_bound`` and their goal test from ``goal_test``, which
 ``plan_mcts`` uses too.
@@ -63,7 +64,7 @@ from heapq import heappop, heappush
 from typing import Any, Callable, Hashable, Iterable, Sequence
 
 from .errors import InvalidConfig, PlanningTimeout, SizeLimitExceeded
-from .lattice import EMPTY, Cycle, Lattice, coordinate_table, resident_map
+from .lattice import EMPTY, Cycle, Lattice, coordinate_table, leg_function, resident_map
 from .plan import PickNSwap
 
 
@@ -95,21 +96,23 @@ def _astar(
     """Cheapest action path from ``start`` to a goal state.
 
     ``expand(state)`` yields ``(next_state, step_cost, action)``.  Ties
-    in ``g + h`` go to the state pushed first; a state is re-pushed only
-    when its cost improves by more than 1e-12, and a popped entry whose
-    stored cost lies more than 1e-9 above the state's best is stale.
+    in ``g + h`` go to the larger ``g``, then to the state pushed first,
+    so a tight bound's plateau of equal ``f`` is walked depth-first, not
+    swept breadth-first.  A state is re-pushed only when its cost
+    improves by more than 1e-12, and a popped entry whose stored cost
+    lies more than 1e-9 above the state's best is stale.
     Raises PlanningTimeout once the search outlives ``timeout_s``; the
     clock is read at the first expansion and every
     ``DEADLINE_CHECK_EVERY`` expansions after it.
     """
     best_g: dict = {start: 0.0}
     parent: dict = {}
-    frontier: list = [(heuristic(start), 0, 0.0, start)]
+    frontier: list = [(heuristic(start), 0.0, 0, 0.0, start)]
     counter = 0
     expanded = 0
     deadline = time.monotonic() + timeout_s
     while frontier:
-        _, _, entry_g, state = heappop(frontier)
+        _, _, _, entry_g, state = heappop(frontier)
         g = best_g[state]
         if entry_g > g + 1e-9:
             continue
@@ -131,17 +134,21 @@ def _astar(
             best_g[nxt] = ng
             parent[nxt] = (state, action)
             counter += 1
-            heappush(frontier, (ng + heuristic(nxt), counter, ng, nxt))
+            heappush(frontier, (ng + heuristic(nxt), -ng, counter, ng, nxt))
     raise RuntimeError("search exhausted without reaching the goal; this is a bug")
 
 
 def leg_table(lattice: Lattice, cells: Sequence[int]) -> list[list[float]]:
     """Legs between scope positions: ``legs[p][q]`` is ``lattice.distance``
     from position ``p`` to position ``q``, where position ``p < n`` is
-    ``cells[p]`` and position ``n`` is the rest cell."""
+    ``cells[p]`` and position ``n`` is the rest cell.  The cells are
+    range-checked once, raising ``distance``'s ValueError, then the
+    unchecked ``leg_function`` fills the table with the same floats."""
     points = (*cells, lattice.rest)
-    dist = lattice.distance
-    return [[dist(a, b) for b in points] for a in points]
+    if not 0 < min(points) <= max(points) <= lattice.m:
+        raise ValueError(f"cells {list(cells)} not all inside lattice of size {lattice.m}")
+    leg = leg_function(lattice.dims)
+    return [[leg(a, b) for b in points] for a in points]
 
 
 def cut_bound(widths: Sequence[float], k: int) -> Callable[[tuple], float]:

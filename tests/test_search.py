@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latticeswap import search
 from latticeswap.bench import PLANNERS
 from latticeswap.errors import InvalidConfig, PlanningTimeout, SearchGaveUp, SizeLimitExceeded
 from latticeswap.lattice import (
     EMPTY,
     Arrangement,
     Lattice,
+    leg_function,
     nontrivial_cycles,
     random_arrangement,
     resident_map,
@@ -27,9 +29,11 @@ from latticeswap.plan import (
 )
 from latticeswap.search import (
     SearchLimits,
+    _astar,
     apply_action,
     assign_buffers,
     enumerate_actions,
+    leg_table,
     min_swap_astar,
     scope_contents,
     state_bound,
@@ -109,7 +113,8 @@ class TestMinSwapAstar:
 
     def test_distance_calls_bounded_by_leg_table(self, monkeypatch):
         """One search computes each leg between two of its n scope cells
-        and the rest cell once: at most (n+1)**2 distance calls."""
+        and the rest cell once: at most (n+1)**2 distance calls, checked
+        or through the unchecked ``leg_function``."""
         arr = Arrangement.from_sequence([2, 3, 1, 5, 4, 7, 8, 9, 6])
         calls = 0
         original = Lattice.distance
@@ -119,11 +124,46 @@ class TestMinSwapAstar:
             calls += 1
             return original(self, a, b)
 
+        def counted_legs(dims):
+            def leg(a, b):
+                nonlocal calls
+                calls += 1
+                return leg_function(dims)(a, b)
+
+            return leg
+
         monkeypatch.setattr(Lattice, "distance", counted)
+        monkeypatch.setattr(search, "leg_function", counted_legs)
         actions = min_swap_astar(arr.lattice, nontrivial_cycles(arr), k=2)
         monkeypatch.undo()
         assert simulate(bracket(actions, arr.lattice), arr, k=2).valid
         assert 0 < calls <= (9 + 1) ** 2
+
+    def test_deeper_ties_cut_bound_calls(self, monkeypatch):
+        """On a 13-cell one-group row at k=1 the bound is tight, and
+        expanding the deeper of two states of equal g + h first walks
+        its plateaus depth-first: 92 bound calls, where first-in
+        first-out order made 2963."""
+        arr = Arrangement.from_sequence([7, 3, 11, 13, 1, 9, 12, 4, 6, 8, 2, 5, 10])
+        calls = 0
+
+        def counted_bound(lattice, cells, k):
+            bound = state_bound(lattice, cells, k)
+
+            def counted(state):
+                nonlocal calls
+                calls += 1
+                return bound(state)
+
+            return counted
+
+        monkeypatch.setattr(search, "state_bound", counted_bound)
+        plan = solve(arr, k=1)
+        monkeypatch.undo()
+        assert simulate(plan, arr, k=1).valid
+        assert travel_distance(plan, arr.lattice) == 64.0
+        assert travel_lower_bound(arr.lattice, nontrivial_cycles(arr), 1) == 64.0
+        assert calls <= 300
 
     def test_second_buffer_never_hurts(self):
         for seed in range(10):
@@ -162,6 +202,43 @@ class TestMinSwapAstar:
             min_swap_astar(arr.lattice, nontrivial_cycles(arr), k=0)
         with pytest.raises(InvalidConfig):
             min_swap_astar(arr.lattice, [], k=0)
+
+
+class TestSearchLoop:
+    """The A* loop's tie rule and the leg table it prices steps from."""
+
+    def test_deeper_state_of_equal_f_expands_first(self):
+        """From ``s``, ``a`` (g=1, h=2) is pushed before ``b`` (g=2,
+        h=1): equal f, and the deeper ``b`` goes first and reaches the
+        goal ``t``, so ``a`` is never expanded."""
+        graph = {"s": [("a", 1.0), ("b", 2.0)], "a": [("t", 2.0)], "b": [("t", 1.0)], "t": []}
+        h = {"s": 3.0, "a": 2.0, "b": 1.0, "t": 0.0}
+        order = []
+
+        def expand(state):
+            order.append(state)
+            return [(nxt, step, (state, nxt)) for nxt, step in graph[state]]
+
+        path = _astar("s", expand, h.__getitem__, lambda state: state == "t", 60.0)
+        assert order == ["s", "b"]
+        assert path == [("s", "b"), ("b", "t")]
+
+    @pytest.mark.parametrize("dims", [(9,), (3, 4), (1, 5)])
+    def test_leg_table_matches_distance_bit_for_bit(self, dims):
+        lattice = Lattice(dims)
+        cells = list(range(1, lattice.m + 1))
+        legs = leg_table(lattice, cells)
+        points = (*cells, lattice.rest)
+        for p, a in enumerate(points):
+            for q, b in enumerate(points):
+                assert legs[p][q] == lattice.distance(a, b)
+
+    @pytest.mark.parametrize("cells", [[0, 2], [2, 13], [1, 3, 99]])
+    def test_leg_table_refuses_cells_outside_the_lattice(self, cells):
+        with pytest.raises(ValueError):
+            leg_table(Lattice((3, 4)), cells)
+        with pytest.raises(ValueError):
+            leg_table(Lattice((12,)), cells)
 
 
 def draw_row(data, max_m=12):
