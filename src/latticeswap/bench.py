@@ -25,10 +25,9 @@ from typing import Callable, Iterable, Sequence
 from .errors import InvalidConfig, LatticeSwapError, MissingBaseline, PlanningTimeout
 from .lattice import cycle_statistics, random_arrangement, CycleStatistics
 from .mcts import MctsConfig, plan_mcts
-from .multi_buffer import PipelineConfig, plan_multi_buffer_dp
+from .multi_buffer import plan_multi_buffer_dp
 from .oracle import plan_optimal
 from .plan import CostParams, Instance, Plan, evaluate_cost, simulate
-from .search import SearchLimits
 from .single_buffer import (
     plan_cycle_following,
     plan_cycle_switching,
@@ -41,13 +40,9 @@ from .single_buffer import (
 PLANNERS: dict[str, Callable[..., Plan]] = {
     "follow": lambda arr, k, **_: plan_cycle_following(arr),
     "switch": lambda arr, k, **_: plan_cycle_switching(arr),
-    "exact": lambda arr, k, timeout_s, **_: plan_single_buffer_exact(
-        arr, SearchLimits(timeout_s=timeout_s)
-    ),
+    "exact": lambda arr, k, timeout_s, **_: plan_single_buffer_exact(arr, timeout_s),
     "2d-greedy": lambda arr, k, **_: plan_single_buffer_2d(arr),
-    "dp": lambda arr, k, timeout_s, **_: plan_multi_buffer_dp(
-        arr, k, PipelineConfig(search_timeout_s=timeout_s)
-    ),
+    "dp": lambda arr, k, timeout_s, **_: plan_multi_buffer_dp(arr, k, timeout_s),
     "mcts": lambda arr, k, cp, ct, timeout_s, budget, seed, **_: plan_mcts(
         arr, k, CostParams(cp, ct), MctsConfig(budget=budget, seed=seed), timeout_s
     ),
@@ -159,7 +154,8 @@ def plan_instance(
 ) -> Plan:
     """Plan an instance with the registered planner ``algo``.
 
-    ``timeout_s`` bounds the searches of ``exact``, ``dp`` and ``opt``
+    ``timeout_s`` is the one setting of ``exact``, ``dp`` and ``opt``,
+    passed the same way to each: it bounds each of their exact searches,
     and the whole of ``mcts``; ``cp``/``ct``, ``budget`` and ``seed``
     configure ``mcts``.  The other planners take no settings.  Every
     planner needs at least one buffer, including those that use just
@@ -219,6 +215,9 @@ def run_case(case: BenchCase, base_seed: int) -> dict:
 
 
 def run_sweep(cases: Iterable[BenchCase], base_seed: int, workers: int = 1) -> list[dict]:
+    # A forked pool starts all its workers at once, so start no more than there are cases.
+    cases = list(cases)
+    workers = min(workers, len(cases))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(run_case, cases, itertools.repeat(base_seed)))

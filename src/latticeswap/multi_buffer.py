@@ -7,6 +7,7 @@ the per-buffer action sequences with a dynamic program that minimizes
 total travel.  Buffers own disjoint cycles, and every per-buffer plan
 keeps at most one object in hand, so any interleaving of the sequences
 is executable with k buffers; the DP only has to pick the cheapest one.
+Its one setting is ``timeout_s``, the time limit of each exact share search.
 
 The interleaving DP's state is (which buffer moved last, how far each
 sequence has progressed).  Stage s holds the sorted mixed-radix codes
@@ -20,7 +21,7 @@ backtrack recomputes it for the one state per stage on the returned
 path, as the first previous mover whose cost plus leg is the state's
 cost, the sum the forward step took, so ties go to the smallest
 previous mover.  The state count grows as the product of the sequence
-lengths, so past a configurable size the DP switches to a beam: each
+lengths, so past ``MERGE_EXACT_STATES`` the DP switches to a beam: each
 stage after the first keeps only its cheapest states, ties to the
 smaller code, picked before the code sort.  The beamed result is
 never worse than running the sequences back to back, since that
@@ -41,7 +42,6 @@ planners that never merge do not load it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import ClassVar, Sequence
 
 from .errors import InvalidConfig, MergeStateLimit
@@ -61,22 +61,15 @@ MERGE_EXACT_STATES = 3_000_000  # interleaving states the merge solves exactly
 MERGE_BEAM = 5_000  # states kept per stage past that
 
 
-@dataclass(frozen=True)
 class PipelineConfig:
-    """Knobs for the k-buffer pipeline.
-
-    Within a buffer's share, each span-connected run of cycles covering
-    at most ``buffer_exact_cells`` cells is planned exactly; larger
-    runs fall back to the greedy switching tour and flag the plan.
-    ``search_timeout_s`` bounds each of those exact searches.  The
-    interleaving DP runs exactly up to ``MERGE_EXACT_STATES`` states and
-    then beams, keeping ``MERGE_BEAM`` states per stage; the two class
-    constants only name those caps for the stage-wise benchmark replay,
-    and can go once that replay reads the module constants.
+    """Not a setting: the pipeline's fixed caps, named for the stage-wise
+    benchmark replay, which reads them from ``PipelineConfig()``.  The
+    package never reads them; the class goes once that replay reads the
+    module constants.
     """
 
-    buffer_exact_cells: int = SearchLimits.size_cap
-    search_timeout_s: float = SearchLimits.timeout_s
+    buffer_exact_cells: ClassVar[int] = SearchLimits.size_cap
+    search_timeout_s: ClassVar[float] = SearchLimits.timeout_s
     merge_exact_states: ClassVar[int] = MERGE_EXACT_STATES
     merge_beam: ClassVar[int] = MERGE_BEAM
 
@@ -105,23 +98,20 @@ def assign_cycles(cycles: Sequence[Cycle], k: int) -> list[tuple[int, ...]]:
         return sorted(bins, key=sort_key)
 
     loads = [c.size + 1 for c in cycles]
+    bins_load = [0] * k
+    bins: list[list[int]] = [[] for _ in range(k)]
     if n > 24:
-        order = sorted(range(n), key=lambda i: -loads[i])
-        heap = [[0, b, []] for b in range(k)]
-        for i in order:
-            heap.sort(key=lambda e: (e[0], e[1]))
-            heap[0][0] += loads[i]
-            heap[0][2].append(i)
-        heap.sort(key=lambda e: e[1])
-        assign = [tuple(sorted(e[2])) for e in heap]
+        for i in sorted(range(n), key=lambda i: -loads[i]):
+            b = min(range(k), key=lambda b: (bins_load[b], b))
+            bins_load[b] += loads[i]
+            bins[b].append(i)
+        assign = [tuple(sorted(b)) for b in bins]
     else:
         suffix = [0] * (n + 1)
         for i in range(n - 1, -1, -1):
             suffix[i] = suffix[i + 1] + loads[i]
         best_min = -1
         best: list[list[int]] | None = None
-        bins_load = [0] * k
-        bins: list[list[int]] = [[] for _ in range(k)]
         seen: set[tuple] = set()
 
         def dfs(i: int) -> None:
@@ -297,24 +287,21 @@ def merge_task_sequences(
 
 
 def buffer_share_actions(
-    share: Sequence[Cycle], lattice: Lattice, config: PipelineConfig = PipelineConfig()
+    share: Sequence[Cycle], lattice: Lattice, timeout_s: float
 ) -> tuple[list[PickNSwap], bool]:
     """Plan one buffer's share of cycles as a single-buffer tour.
 
     A 1D share is solved by ``groupwise_exact_actions``: re-grouped into
     span-connected runs, each planned exactly (or greedily past the size
-    cap) and spliced left to right.
+    cap or ``timeout_s``) and spliced left to right.
     On a 2D board the share is one nearest-first greedy tour.
     """
     if lattice.ndim > 1:
         return greedy_tour_actions(share, lattice), False
-    limits = SearchLimits(size_cap=config.buffer_exact_cells, timeout_s=config.search_timeout_s)
-    return groupwise_exact_actions(share, lattice, limits)
+    return groupwise_exact_actions(share, lattice, timeout_s)
 
 
-def plan_multi_buffer_dp(
-    start: Arrangement, k: int, config: PipelineConfig = PipelineConfig()
-) -> Plan:
+def plan_multi_buffer_dp(start: Arrangement, k: int, timeout_s: float = SearchLimits.timeout_s) -> Plan:
     """Full k-buffer pipeline: assign, plan per buffer, interleave.
 
     Each span-disjoint group's cycles are split over the k buffers to
@@ -322,7 +309,8 @@ def plan_multi_buffer_dp(
     single-buffer tour, and the k action sequences are interleaved into
     one travel-minimizing tour.  Buffers own disjoint cycles and each
     sequence parks at most one object at a time, so any interleaving
-    stays within the k-buffer budget.
+    stays within the k-buffer budget.  ``timeout_s`` bounds each exact
+    share search.
     """
     if k < 1:
         raise InvalidConfig(f"need at least one buffer, got k={k}")
@@ -335,7 +323,7 @@ def plan_multi_buffer_dp(
     sequences: list[list[PickNSwap]] = []
     fallback = False
     for share in shares:
-        actions, degraded = buffer_share_actions(share, lattice, config)
+        actions, degraded = buffer_share_actions(share, lattice, timeout_s)
         fallback = fallback or degraded
         sequences.append(actions)
 

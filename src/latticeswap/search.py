@@ -37,8 +37,9 @@ use ``enumerate_actions``.  Three things keep a push cheap:
 - ``leg_table`` computes every leg between two positions once per
   search, after one range check, and every step cost reads it.
 - ``cut_bound`` takes one difference array over the gaps per state; on
-  a board each axis first renames the state by its rank order, worked
-  out once per search.
+  a board the column axis first renames the state by its rank order,
+  worked out once per search, while the row axis, already in order,
+  takes the state as it is.
 - A state also carries a bitmask of the cycles already touched.  A
   touched cycle never shows its original residents again, so the mask
   is a function of the contents and the states are the same as without
@@ -237,15 +238,19 @@ def projected_bound(
 
 
 def state_bound(lattice: Lattice, cells: Sequence[int], k: int) -> Callable[[tuple], float]:
-    """The cut-flow bound on the scope positions of ``cells``: the
-    searches' heuristic and, at the start state, LB_k.  On a row it is
-    ``cut_bound``.  On a board a leg is at least its column offset, its
-    row offset and their sum over sqrt(2), so it is ``max(Lx, Ly, (Lx +
-    Ly) / sqrt(2))`` of the two axes' ``projected_bound``."""
+    """The cut-flow bound on the scope positions of ``cells``, in
+    increasing order: the searches' heuristic and, at the start state,
+    LB_k.  On a row it is ``cut_bound``.  On a board a leg is at least
+    its column offset, its row offset and their sum over sqrt(2), so it
+    is ``max(Lx, Ly, (Lx + Ly) / sqrt(2))`` of the two axes' bounds.
+    Increasing cells are in row-major order, so the row axis is
+    ``cut_bound`` on the positions as they are, and only the column
+    axis needs ``projected_bound``."""
     if lattice.ndim == 1:
         return cut_bound([float(b - a) for a, b in zip((lattice.rest, *cells), cells)], k)
     rows, cols = coordinate_table(lattice.dims)
-    across, down = (projected_bound(cells, axis, lattice.rest, k) for axis in (cols, rows))
+    down = cut_bound([float(rows[b] - rows[a]) for a, b in zip((lattice.rest, *cells), cells)], k)
+    across = projected_bound(cells, cols, lattice.rest, k)
 
     def bound(state) -> float:
         x, y = across(state), down(state)

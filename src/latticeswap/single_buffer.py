@@ -283,7 +283,7 @@ def plan_single_buffer_2d(start: Arrangement) -> Plan:
 
 
 def exact_group_actions(
-    cycles: Sequence[Cycle], lattice: Lattice, limits: SearchLimits = SearchLimits()
+    cycles: Sequence[Cycle], lattice: Lattice, timeout_s: float
 ) -> tuple[list[PickNSwap], bool]:
     """Cheapest swap-minimal actions for one group of cycles.
 
@@ -291,30 +291,31 @@ def exact_group_actions(
     too large for the exact search or the search runs out of time.
     """
     try:
-        return min_swap_astar(lattice, cycles, 1, limits), False
+        return min_swap_astar(lattice, cycles, 1, SearchLimits(timeout_s=timeout_s)), False
     except (SizeLimitExceeded, PlanningTimeout):
         return greedy_tour_actions(cycles, lattice), True
 
 
 def groupwise_exact_actions(
-    cycles: Sequence[Cycle], lattice: Lattice, limits: SearchLimits = SearchLimits()
+    cycles: Sequence[Cycle], lattice: Lattice, timeout_s: float
 ) -> tuple[list[PickNSwap], bool]:
     """``exact_group_actions`` per span-disjoint group, spliced left to
     right; the flag is set when any group fell back to the greedy tour."""
     per_group = []
     fallback = False
     for g in group_cycles(cycles, lattice):
-        actions, degraded = exact_group_actions(g.cycles, lattice, limits)
+        actions, degraded = exact_group_actions(g.cycles, lattice, timeout_s)
         fallback = fallback or degraded
         per_group.append(actions)
     return compose_group_actions(per_group), fallback
 
 
-def plan_single_buffer_exact(start: Arrangement, limits: SearchLimits = SearchLimits()) -> Plan:
+def plan_single_buffer_exact(start: Arrangement, timeout_s: float = SearchLimits.timeout_s) -> Plan:
     """Cheapest single-buffer plan, solved per span-disjoint group.
 
-    Groups beyond the search cap degrade to the greedy tour and mark
-    the plan as a fallback.
+    Groups beyond the search cap, or whose search outlives
+    ``timeout_s``, degrade to the greedy tour and mark the plan as a
+    fallback.
     """
-    actions, fallback = groupwise_exact_actions(nontrivial_cycles(start), start.lattice, limits)
+    actions, fallback = groupwise_exact_actions(nontrivial_cycles(start), start.lattice, timeout_s)
     return bracket(actions, start.lattice, fallback=fallback)

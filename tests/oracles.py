@@ -307,6 +307,18 @@ def exhaustive_best_min_load(loads: Sequence[int], k: int) -> int:
     return best
 
 
+def reference_largest_first(loads: Sequence[int], k: int) -> list[list[int]]:
+    """Largest-first packing: each item, heaviest first (ties to the
+    lower index), joins the lightest of k bins (ties to the lower bin)."""
+    bins: list[list[int]] = [[] for _ in range(k)]
+    totals = [0] * k
+    for i in sorted(range(len(loads)), key=lambda i: (-loads[i], i)):
+        b = totals.index(min(totals))
+        totals[b] += loads[i]
+        bins[b].append(i)
+    return bins
+
+
 def permutation_cycle_sizes(placement: Sequence[int]) -> list[int]:
     """Cycle sizes of a permutation given as a placement row, written
     with direct index chasing rather than the package's decomposition."""

@@ -32,9 +32,9 @@ from latticeswap.errors import (
     MissingBaseline,
     PlanningTimeout,
 )
-from latticeswap.lattice import EMPTY, Arrangement, CycleStatistics, Lattice
+from latticeswap.lattice import EMPTY, Arrangement, CycleStatistics, Lattice, random_arrangement
 from latticeswap.oracle import UNRESTRICTED_K_CAP, plan_optimal_unrestricted
-from latticeswap.plan import Instance, PickNSwap
+from latticeswap.plan import Instance, PickNSwap, simulate
 
 
 class TestSeeds:
@@ -99,6 +99,17 @@ def test_no_cycle_plan_is_the_two_bookends(algo, k, dims):
     assert plan.actions == (be, be)
     assert plan.buffer_of == (None if algo in UNLABELLED else (None, None))
     assert plan.fallback is False
+
+
+@pytest.mark.parametrize("algo", ["exact", "dp"])
+def test_timeout_reaches_the_exact_searches(algo):
+    # A zero limit stops each exact search at its first expansion, so the
+    # plan falls back to greedy tours only if the limit got through.
+    inst = Instance(random_arrangement(10, 0), 2)
+    assert not plan_instance(inst, algo).fallback
+    plan = plan_instance(inst, algo, timeout_s=0.0)
+    assert plan.fallback
+    assert simulate(plan, inst.arrangement, k=2).valid
 
 
 class TestSweepCases:
@@ -259,6 +270,32 @@ class TestRunCase:
         for row in serial + parallel:
             row.pop("wall_ms")
         assert parallel == serial
+
+    def test_pool_is_no_larger_than_the_sweep(self, monkeypatch):
+        # A forked pool starts every worker it is given; record the size
+        # asked for and map serially instead of starting processes.
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(bench, "ProcessPoolExecutor", SerialPool)
+        cases = sweep_cases([1], [6], [1, 2], ["switch"], trials=2)
+        rows = run_sweep(iter(cases), base_seed=0, workers=64)
+        assert sizes == [4]
+        assert [r["k"] for r in rows] == [c.k for c in cases]
+        assert run_sweep(cases[:1], base_seed=0, workers=64)[0]["valid"] == 1
+        assert sizes == [4]
 
     def test_rows_are_deterministic(self):
         # Everything except the wall-clock column repeats exactly.

@@ -20,11 +20,13 @@ from latticeswap.lattice import (
     Cycle,
     Lattice,
     decompose_cycles,
+    group_cycles,
     nontrivial_cycles,
     random_arrangement,
 )
 from latticeswap.multi_buffer import (
     MERGE_BEAM,
+    MERGE_EXACT_STATES,
     PipelineConfig,
     assign_cycles,
     merge_task_sequences,
@@ -37,8 +39,14 @@ from latticeswap.plan import (
     simulate,
     travel_distance,
 )
+from latticeswap.search import SearchLimits
 from latticeswap.single_buffer import plan_single_buffer_2d, plan_single_buffer_exact
-from oracles import exhaustive_best_min_load, exhaustive_interleave_travel, reference_merge
+from oracles import (
+    exhaustive_best_min_load,
+    exhaustive_interleave_travel,
+    reference_largest_first,
+    reference_merge,
+)
 
 THREE_CYCLE_BOARD = [2, 3, 1, 5, 7, 8, 4, 6]
 
@@ -83,6 +91,31 @@ class TestAssignCycles:
         assignment = assign_cycles(cycles, k)
         loads = [c.size + 1 for c in cycles]
         assert min_load(assignment, cycles) == exhaustive_best_min_load(loads, k)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_many_cycles_go_largest_first(self, k):
+        # One group of 28 cycles, past the exact search: a cycle through
+        # the left half and cell m, and 2-cycles on the right half's pairs.
+        m, half = 110, 55
+        placement = [*range(2, half + 1), m, *range(half + 1, m)]
+        for c in range(half + 1, m - 1, 2):
+            placement[c - 1], placement[c] = c + 1, c
+        placement.append(1)
+        arr = Arrangement.from_sequence(placement)
+        (group,) = group_cycles(nontrivial_cycles(arr), arr.lattice)
+        # And 30 cycles of mixed sizes, so the loads are not mostly tied.
+        rng = random.Random(5)
+        mixed, base = [], 1
+        for _ in range(30):
+            size = rng.randint(2, 9)
+            mixed.append(Cycle(tuple(range(base, base + size))))
+            base += size
+        for cycles in (group.cycles, mixed):
+            assert len(cycles) > 24
+            bins = reference_largest_first([c.size + 1 for c in cycles], k)
+            smallest = [min(cell for i in b for cell in cycles[i].cells) for b in bins]
+            expected = [tuple(sorted(bins[b])) for b in sorted(range(k), key=smallest.__getitem__)]
+            assert assign_cycles(cycles, k) == expected
 
     def test_rejects_zero_buffers(self):
         with pytest.raises(InvalidConfig):
@@ -321,9 +354,9 @@ class TestPipeline:
         assert len(plan.actions) == 2
 
     def test_fallback_flag_propagates(self):
+        # A zero time limit stops every share search at its first expansion.
         arr = random_arrangement(18, 3)
-        tiny = PipelineConfig(buffer_exact_cells=2)
-        plan = plan_multi_buffer_dp(arr, k=2, config=tiny)
+        plan = plan_multi_buffer_dp(arr, k=2, timeout_s=0.0)
         assert plan.fallback
         assert simulate(plan, arr, k=2).valid
         assert not plan_multi_buffer_dp(arr, k=2).fallback
@@ -331,6 +364,18 @@ class TestPipeline:
     def test_rejects_zero_buffers(self):
         with pytest.raises(InvalidConfig):
             plan_multi_buffer_dp(random_arrangement(5, 0), k=0)
+
+    def test_pipeline_config_names_constants_only(self):
+        # The stage-wise benchmark replay reads these four names from
+        # ``PipelineConfig()``; none of them is a setting.
+        config = PipelineConfig()
+        assert (config.buffer_exact_cells, config.search_timeout_s) == (
+            SearchLimits.size_cap,
+            SearchLimits.timeout_s,
+        )
+        assert (config.merge_exact_states, config.merge_beam) == (MERGE_EXACT_STATES, MERGE_BEAM)
+        with pytest.raises(TypeError):
+            PipelineConfig(buffer_exact_cells=2)
 
 
 def test_package_import_does_not_load_numpy():

@@ -25,7 +25,7 @@ from latticeswap.plan import (
     travel_distance,
 )
 from latticeswap.multi_buffer import plan_multi_buffer_dp
-from latticeswap.search import SearchLimits, min_swap_astar
+from latticeswap.search import min_swap_astar
 from latticeswap.single_buffer import (
     DETOUR_SLACK_2D,
     ON_SEGMENT_SLACK,
@@ -223,7 +223,8 @@ class TestTwoDimensional:
 class TestFallback:
     def test_degraded_search_is_flagged(self):
         arr = Arrangement.from_sequence(TWO_CYCLE_BOARD)
-        plan = plan_single_buffer_exact(arr, limits=SearchLimits(size_cap=3))
+        # A zero time limit stops every group's search at its first expansion.
+        plan = plan_single_buffer_exact(arr, timeout_s=0.0)
         assert plan.fallback
         assert simulate(plan, arr).valid
         assert costs(plan, arr) == (6, 10)
