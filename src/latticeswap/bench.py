@@ -66,6 +66,7 @@ RESULT_COLUMNS = (
     "wall_ms",
     "timeout",
     "valid",
+    "fallback",
     "error",
 )
 
@@ -210,6 +211,7 @@ def run_case(case: BenchCase, base_seed: int) -> dict:
         total=f"{report.total:.6f}",
         timeout=0,
         valid=1 if simulate(plan, arr, case.k) else 0,
+        fallback=int(plan.fallback),
     )
     return row
 
@@ -244,7 +246,8 @@ def report_savings(
     trial) and aggregates the per-trial travel ratios per (dim, m, k,
     algo).  Rows that timed out or failed validation are left out of
     the averages, mirroring how unfinished trials are reported; a data
-    point with no valid baseline raises MissingBaseline.
+    point with no valid baseline raises MissingBaseline.  Fallback rows
+    are valid plans, so they count like any other.
     """
 
     def shape(row: dict) -> tuple:

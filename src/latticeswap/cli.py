@@ -75,13 +75,14 @@ def cmd_plan(args: argparse.Namespace) -> int:
         instance, args.algo, cp=args.cp, ct=args.ct, timeout_s=args.timeout,
         budget=args.budget, seed=args.seed,
     )
-    report = evaluate_cost(plan, instance.arrangement.lattice, CostParams(args.cp, args.ct))
+    cost = evaluate_cost(plan, instance.arrangement.lattice, CostParams(args.cp, args.ct))
+    report = json.dumps({**cost.to_dict(), "fallback": plan.fallback})
     if args.out:
         _write_or_print(plan.to_json(indent=2), args.out)
-        print(report.to_json())
+        print(report)
     else:
         print(plan.to_json(indent=2))
-        print(report.to_json(), file=sys.stderr)
+        print(report, file=sys.stderr)
     return 0
 
 

@@ -310,13 +310,17 @@ def plan_multi_buffer_dp(start: Arrangement, k: int, timeout_s: float = SearchLi
     one travel-minimizing tour.  Buffers own disjoint cycles and each
     sequence parks at most one object at a time, so any interleaving
     stays within the k-buffer budget.  ``timeout_s`` bounds each exact
-    share search.
+    share search.  Buffers past the largest group's cycle count would
+    only get empty shares, which ``assign_cycles`` sorts last, so the
+    pipeline plans with no more buffers than that.
     """
     if k < 1:
         raise InvalidConfig(f"need at least one buffer, got k={k}")
     lattice = start.lattice
+    groups = group_cycles(nontrivial_cycles(start), lattice)
+    k = max(1, min(k, max((len(g.cycles) for g in groups), default=0)))
     shares: list[list[Cycle]] = [[] for _ in range(k)]
-    for group in group_cycles(nontrivial_cycles(start), lattice):
+    for group in groups:
         for slot, idxs in enumerate(assign_cycles(group.cycles, k)):
             shares[slot].extend(group.cycles[i] for i in idxs)
 

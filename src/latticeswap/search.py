@@ -13,13 +13,14 @@ exactly the executions of the small action system below.
 Because the swap count is fixed across this space, finding the best
 swap-minimal plan reduces to minimizing travel.  ``min_swap_astar``
 runs A* over (position, held objects, cell contents).  Its heuristic is
-the cut-flow bound ``state_bound``.  On a row it is ``cut_bound``:
-every gap between two neighbouring cells is crossed at least twice per
-``k`` objects that must cross it, and at least twice while an
-unresolved cell lies beyond it (one-object robot-arm travel on a line
-is the setting of Atallah & Kosaraju, SIAM J. Comput. 1988).  On a
-board it is the same bound on each axis's projection of the scope,
-``projected_bound``, combined as ``max(Lx, Ly, (Lx + Ly) / sqrt(2))``.
+the cut-flow bound ``state_bound``, built from one axis bound,
+``cut_bound``: every gap between two neighbouring coordinates is
+crossed at least twice per ``k`` objects that must cross it, and at
+least twice while an unresolved cell lies beyond it (one-object
+robot-arm travel on a line is the setting of Atallah & Kosaraju, SIAM
+J. Comput. 1988).  On a row it is ``cut_bound`` on the cells; on a
+board it is ``cut_bound`` on the column and on the row coordinates,
+combined as ``max(Lx, Ly, (Lx + Ly) / sqrt(2))``.
 The bound at the start state, ``travel_lower_bound``, is LB_k, a
 travel certificate for every plan on a row or a board.
 
@@ -36,10 +37,10 @@ use ``enumerate_actions``.  Three things keep a push cheap:
 
 - ``leg_table`` computes every leg between two positions once per
   search, after one range check, and every step cost reads it.
-- ``cut_bound`` takes one difference array over the gaps per state; on
-  a board the column axis first renames the state by its rank order,
-  worked out once per search, while the row axis, already in order,
-  takes the state as it is.
+- ``cut_bound`` takes one difference array over the gaps per state.
+  Each position's gap index comes from a table built once per search,
+  so on either axis of a board the state is read as it is, never
+  renamed or copied.
 - A state also carries a bitmask of the cycles already touched.  A
   touched cycle never shows its original residents again, so the mask
   is a function of the contents and the states are the same as without
@@ -152,23 +153,28 @@ def leg_table(lattice: Lattice, cells: Sequence[int]) -> list[list[float]]:
     return [[leg(a, b) for b in points] for a in points]
 
 
-def cut_bound(widths: Sequence[float], k: int) -> Callable[[tuple], float]:
-    """The cut-flow bound on a row, for a state whose entries 0, 1 and 2
-    are the position, the hand and the contents.
+def cut_bound(coord: Sequence[int], rest: int, k: int) -> Callable[[tuple], float]:
+    """The cut-flow bound on one axis, for a state whose entries 0, 1
+    and 2 are the position, the hand and the contents.
 
-    The n scope positions lie along the row in order, with the rest cell
-    left of position 0.  Gap ``g`` runs between positions ``g - 1`` and
-    ``g``, gap 0 from the rest cell to position 0, and ``widths[g]`` is
-    its length.  A plan crosses every gap a whole number of times and
-    carries at most ``k`` objects per crossing.  Let R count the objects
-    at or left of the gap that belong right of it; a held object sits at
-    the robot.  With the robot left of the gap, the plan crosses it an
-    even number of times, at least ``2 * ceil(R/k)``, and at least twice
-    if an unresolved cell lies right of it.  With the robot right of the
-    gap, one more crossing goes left than right, since the robot ends at
-    the rest cell: at least ``2 * ceil(R/k) + 1``.  The bound is the sum
-    of width times crossings.  It is admissible for any plan with ``k``
-    buffers, swap-minimal or not.
+    ``coord[p]`` is scope position ``p``'s coordinate on the axis and
+    ``rest``, at or below every one of them, is the rest cell's.  The
+    gaps lie between neighbouring distinct coordinates; ``slot[p] + 1``
+    is the number of gaps left of position ``p``, so the gaps a plan
+    must cross to carry an object from ``p`` to ``q`` run from
+    ``slot[p] + 1`` to ``slot[q]``.  ``slot[n]`` is -1: the robot at
+    rest has no gap on its left, and an empty cell (whose content is
+    ``n``) sends nothing anywhere.  A plan crosses every gap a whole
+    number of times and carries at most ``k`` objects per crossing.
+    Let R count the objects at or left of the gap that belong right of
+    it; a held object sits at the robot.  With the robot left of the
+    gap, the plan crosses it an even number of times, at least ``2 *
+    ceil(R/k)``, and at least twice if an unresolved cell lies right of
+    it.  With the robot right of the gap, one more crossing goes left
+    than right, since the robot ends at the rest cell: at least ``2 *
+    ceil(R/k) + 1``.  The bound is the sum of width times crossings.
+    It is admissible for any plan with ``k`` buffers, swap-minimal or
+    not, and a leg is at least as long as its projection on the axis.
 
     The L objects that cross the other way add nothing.  Every state
     the kernel reaches has as many empty cells as held objects, at most
@@ -181,24 +187,32 @@ def cut_bound(widths: Sequence[float], k: int) -> Callable[[tuple], float]:
     difference array and one pass over the gaps up to the farther of
     the robot and the last unresolved cell; past both, R is 0.
     """
-    n = len(widths)
+    n = len(coord)
+    line = sorted({rest, *coord})
+    widths = [b - a for a, b in zip(line, line[1:])]
+    slot_of = {x: g - 1 for g, x in enumerate(line)}
+    slot = [slot_of[x] for x in coord] + [-1]
     up = [-(-c // k) for c in range(n + 1)]
+    size = len(line)
 
     def bound(state) -> float:
         p, held, contents = state[0], state[1], state[2]
-        s = p + 1 if p < n else 0  # gaps below s lie left of the robot
-        flow = [0] * (n + 1)
+        s = slot[p] + 1  # gaps below s lie left of the robot
+        flow = [0] * size
         last = -1
         for i, o in enumerate(contents):
             if o != i:
-                last = i
-                if i < o < n:
-                    flow[i + 1] += 1
-                    flow[o + 1] -= 1
+                a, b = slot[i], slot[o]
+                if a > last:
+                    last = a
+                if a < b:
+                    flow[a + 1] += 1
+                    flow[b + 1] -= 1
         for h in held:
-            if h >= s:
+            b = slot[h]
+            if b >= s:
                 flow[s] += 1
-                flow[h + 1] -= 1
+                flow[b + 1] -= 1
         total = 0.0
         r = 0
         for g in range(max(s, last + 1)):
@@ -210,47 +224,19 @@ def cut_bound(widths: Sequence[float], k: int) -> Callable[[tuple], float]:
     return bound
 
 
-def projected_bound(
-    cells: Sequence[int], coord: Sequence[int], rest: int, k: int
-) -> Callable[[tuple], float]:
-    """``cut_bound`` on one axis of a board, where ``coord[cell]`` is
-    the cell's coordinate and the rest cell lies at or left of every
-    cell.  The scope positions are ranked by coordinate, cells sharing
-    one across width-0 gaps, and a state is renamed by rank; position
-    ``n`` keeps its name.  The bound counts only the objects on each
-    side of a cut, so it holds for any cut, and a leg is at least as
-    long as its projection."""
-    n = len(cells)
-    order = sorted(range(n), key=lambda i: coord[cells[i]])
-    rank = [0] * (n + 1)
-    for r, i in enumerate((*order, n)):
-        rank[i] = r
-    line = [coord[rest], *(coord[cells[i]] for i in order)]
-    bound = cut_bound([float(b - a) for a, b in zip(line, line[1:])], k)
-
-    def projected(state) -> float:
-        contents = [0] * n
-        for i, o in enumerate(state[2]):
-            contents[rank[i]] = rank[o]
-        return bound((rank[state[0]], [rank[h] for h in state[1]], contents))
-
-    return projected
-
-
 def state_bound(lattice: Lattice, cells: Sequence[int], k: int) -> Callable[[tuple], float]:
-    """The cut-flow bound on the scope positions of ``cells``, in
-    increasing order: the searches' heuristic and, at the start state,
-    LB_k.  On a row it is ``cut_bound``.  On a board a leg is at least
-    its column offset, its row offset and their sum over sqrt(2), so it
-    is ``max(Lx, Ly, (Lx + Ly) / sqrt(2))`` of the two axes' bounds.
-    Increasing cells are in row-major order, so the row axis is
-    ``cut_bound`` on the positions as they are, and only the column
-    axis needs ``projected_bound``."""
+    """The cut-flow bound on the scope positions of ``cells``: the
+    searches' heuristic and, at the start state, LB_k.  On a row it is
+    ``cut_bound`` on the cells.  On a board it is ``cut_bound`` on each
+    axis, Lx on the columns and Ly on the rows, and since a leg is at
+    least its column offset, its row offset and their sum over sqrt(2),
+    the bound is ``max(Lx, Ly, (Lx + Ly) / sqrt(2))``."""
     if lattice.ndim == 1:
-        return cut_bound([float(b - a) for a, b in zip((lattice.rest, *cells), cells)], k)
+        return cut_bound(cells, lattice.rest, k)
     rows, cols = coordinate_table(lattice.dims)
-    down = cut_bound([float(rows[b] - rows[a]) for a, b in zip((lattice.rest, *cells), cells)], k)
-    across = projected_bound(cells, cols, lattice.rest, k)
+    rest = lattice.rest
+    down = cut_bound([rows[c] for c in cells], rows[rest], k)
+    across = cut_bound([cols[c] for c in cells], cols[rest], k)
 
     def bound(state) -> float:
         x, y = across(state), down(state)
@@ -424,10 +410,11 @@ def assign_buffers(actions: Sequence[PickNSwap], k: int) -> tuple[int | None, ..
     """Label each action with the 1-based buffer slot that serves it.
 
     Picked objects take the lowest free slot; a swap reuses the slot
-    freed by its deposit.  No-ops get ``None``.
+    freed by its deposit.  No-ops get ``None``.  No more slots than
+    actions are ever in use, so the free list holds at most that many.
     """
     slot_of: dict[int, int] = {}
-    free = list(range(k, 0, -1))
+    free = list(range(min(k, len(actions)), 0, -1))
     labels: list[int | None] = []
     for a in actions:
         if a.is_noop:

@@ -143,6 +143,19 @@ class TestRunCase:
         assert row["timeout"] == 1
         assert row["valid"] == 0
         assert row["swaps"] == "" and row["travel"] == "" and row["total"] == ""
+        assert row["fallback"] == ""
+        assert isinstance(row["wall_ms"], int) and row["wall_ms"] >= 0
+
+    @pytest.mark.parametrize(
+        "m, algo, fallback", [(40, "exact", 1), (40, "switch", 0), (8, "exact", 0)]
+    )
+    def test_fallback_column(self, m, algo, fallback):
+        # The 40-cell row's one group is past the exact search's size
+        # cap, so ``exact`` plans it with the greedy tour.
+        assert plan_instance(build_instance(1, m, 0, 0, 1), algo).fallback == bool(fallback)
+        row = run_case(BenchCase(1, m, 1, algo, trial=0), base_seed=0)
+        assert row["valid"] == 1 and row["error"] == ""
+        assert row["fallback"] == fallback
         assert isinstance(row["wall_ms"], int) and row["wall_ms"] >= 0
 
     def test_timeout_row_records_elapsed(self, monkeypatch):

@@ -87,6 +87,16 @@ class TestPlanEvalRoundTrip:
         report = json.loads(captured.err)
         assert report["swaps"] >= 0
 
+    @pytest.mark.parametrize("argv, fallback", [((), False), (("--timeout", "0"), True)])
+    def test_plan_report_shows_fallback(self, argv, fallback, instance_path, tmp_path, capsys):
+        # A zero limit sends every exact search to its greedy fallback.
+        plan_path = tmp_path / "plan.json"
+        assert run("plan", "-i", instance_path, "--algo", "exact", *argv, "-o", str(plan_path)) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert set(report) == {"swaps", "travel", "total", "fallback"}
+        assert report["fallback"] is fallback
+        assert isinstance(json.loads(plan_path.read_text()), list)
+
     def test_eval_rejects_corrupt_plan(self, instance_path, tmp_path, capsys):
         plan_path = tmp_path / "plan.json"
         run("plan", "-i", instance_path, "--algo", "switch", "-o", str(plan_path))

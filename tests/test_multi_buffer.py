@@ -365,6 +365,22 @@ class TestPipeline:
         with pytest.raises(InvalidConfig):
             plan_multi_buffer_dp(random_arrangement(5, 0), k=0)
 
+    def test_buffers_past_the_largest_group_cost_nothing(self):
+        # Buffers beyond the largest group's cycle count only ever get
+        # empty shares, so the plan at k = 10**5 is the plan at k = 40,
+        # made in memory that does not grow with k.  The k = 40 plan
+        # comes first, so the merge's numpy import is not traced.
+        arr = random_arrangement(30, 3)
+        expected = plan_multi_buffer_dp(arr, k=40)
+        tracemalloc.start()
+        try:
+            plan = plan_multi_buffer_dp(arr, k=10**5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 1024 * 1024
+        assert plan == expected
+
     def test_pipeline_config_names_constants_only(self):
         # The stage-wise benchmark replay reads these four names from
         # ``PipelineConfig()``; none of them is a setting.

@@ -248,7 +248,7 @@ def draw_row(data, max_m=12):
 
 
 def draw_board(data):
-    dims = data.draw(st.sampled_from([(2, 3), (3, 3), (2, 4), (3, 4)]), label="dims")
+    dims = data.draw(st.sampled_from([(2, 3), (3, 3), (2, 4), (3, 4), (1, 6), (6, 1)]), label="dims")
     placement = data.draw(st.permutations(list(range(1, math.prod(dims) + 1))), label="placement")
     return Arrangement.from_sequence(placement, dims)
 
@@ -385,6 +385,24 @@ class TestCutBound:
         start = (len(cells), (), scope_contents(cells, resident_map(cycles)))
         lb = travel_lower_bound(arr.lattice, cycles, k)
         assert lb == state_projection_bound(arr.lattice, cells, k, start)
+
+    @given(st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_one_row_board_bound_is_the_row_bound(self, data):
+        """On a 1 x m board every cell has the same row, so the row axis
+        has one point and adds nothing: the bound is the column axis's,
+        which is the bound on the m-cell row, at every state along the
+        ``opt`` and ``dp`` plans of either lattice."""
+        row = draw_row(data, max_m=9)
+        k = data.draw(st.integers(1, 3), label="k")
+        board = Arrangement.from_sequence(row.placement, (1, row.m))
+        for arr in (row, board):
+            for algo in ("opt", "dp"):
+                cells, path = path_states(arr, PLANNERS[algo](arr, k, timeout_s=60.0))
+                on_row = state_bound(row.lattice, cells, k)
+                on_board = state_bound(board.lattice, cells, k)
+                for state, _ in path:
+                    assert on_board(state) == on_row(state)
 
     @given(st.data())
     @settings(max_examples=300, deadline=None)
